@@ -335,7 +335,8 @@ printScalingNote(int rounds, const char* paper_setup)
     std::printf(
         "note: scaled reproduction — %d tuning rounds x 10 trials here vs "
         "%s in the paper;\n      simulated-clock times use the full "
-        "calibrated per-action costs (see DESIGN.md).\n\n",
+        "calibrated per-action costs (see CostConstants in "
+        "src/support/sim_clock.hpp).\n\n",
         scaledRounds(rounds), paper_setup);
 }
 

@@ -74,8 +74,16 @@ PaCMModel::forwardBatch(const Matrix& stmt_pack,
     }
     if (cfg_.use_dataflow_features) {
         PRUNER_CHECK(flow_segs.count() == n);
-        const Matrix& embedded = flow_embed_.inferBatch(flow_pack, ws);
-        const Matrix& ctx = attn_.inferBatch(embedded, flow_segs, ws);
+        // Zero-padding steps are identical all-zero rows: the embedding
+        // and the Q/K/V projections compute them once (row-independent
+        // layers, so no output byte moves).
+        Matrix& compact = ws.alloc(0, kDataflowFeatureDim);
+        RowMap& rows = ws.allocRowMap();
+        const bool compacted = compactZeroRows(flow_pack, compact, rows);
+        const Matrix& embedded =
+            flow_embed_.inferBatch(compacted ? compact : flow_pack, ws);
+        const Matrix& ctx = attn_.inferBatch(embedded, flow_segs, ws,
+                                             compacted ? &rows : nullptr);
         Matrix& pooled = ws.alloc(n, kHidden);
         segmentColMean(ctx, flow_segs, pooled);
         for (size_t i = 0; i < n; ++i) {
@@ -241,10 +249,27 @@ PaCMModel::scoreBatch(const Matrix& stmt_pack,
     }
     if (cfg_.use_dataflow_features) {
         PRUNER_CHECK(flow_segs.count() == n);
-        const Matrix& embedded =
-            flow_embed_.forwardBatch(flow_pack, ws, caches.flow_acts);
+        // Zero-row compaction as in forwardBatch. The backward walks every
+        // pack row, so the cached layer inputs are expanded back; the
+        // branch output (acts.back(), never read by the backward) stays
+        // compact and the attention expands it into its own cache.
+        Matrix& compact = ws.alloc(0, kDataflowFeatureDim);
+        RowMap& rows = ws.allocRowMap();
+        const bool compacted = compactZeroRows(flow_pack, compact, rows);
+        const Matrix& embedded = flow_embed_.forwardBatch(
+            compacted ? compact : flow_pack, ws, caches.flow_acts);
+        if (compacted) {
+            BatchActs& acts = caches.flow_acts;
+            acts.front() = &flow_pack;
+            for (size_t i = 1; i + 1 < acts.size(); ++i) {
+                Matrix& full = ws.alloc(0, 0);
+                expandRows(*acts[i], rows, full);
+                acts[i] = &full;
+            }
+        }
         const Matrix& ctx =
-            attn_.forwardBatch(embedded, flow_segs, ws, caches.attn);
+            attn_.forwardBatch(embedded, flow_segs, ws, caches.attn,
+                               compacted ? &rows : nullptr);
         Matrix& pooled = ws.alloc(n, kHidden);
         segmentColMean(ctx, flow_segs, pooled);
         for (size_t i = 0; i < n; ++i) {
@@ -380,9 +405,7 @@ PaCMModel::train(const std::vector<MeasuredRecord>& records, int epochs)
         fitBatch(grads, ws, caches);
     };
     auto on_batch_end = [&]() {
-        adam.clipGradNorm(5.0);
-        adam.step();
-        adam.zeroGrad();
+        adam.stepClipped(5.0);
     };
     return trainRankingLoop(records, epochs, /*group_cap=*/48, rng_,
                             infer_scores, fit_batch, on_batch_end,

@@ -195,9 +195,7 @@ TlpCostModel::train(const std::vector<MeasuredRecord>& records, int epochs)
         fitBatch(grads, ws, caches);
     };
     auto on_batch_end = [&]() {
-        adam.clipGradNorm(5.0);
-        adam.step();
-        adam.zeroGrad();
+        adam.stepClipped(5.0);
     };
     return trainRankingLoop(records, epochs, /*group_cap=*/48, rng_,
                             infer_scores, fit_batch, on_batch_end,

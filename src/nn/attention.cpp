@@ -3,39 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/attention_core.hpp"
 #include "support/logging.hpp"
 
 namespace pruner {
-
-namespace {
-
-/** Row-wise softmax on a raw [rows, cols] block — the exact loop of
- *  Matrix::softmaxRows (same ops, same order, same bytes), for the flat
- *  per-segment score blocks of the batched training forward. */
-void
-softmaxRowsRaw(double* data, size_t rows, size_t cols)
-{
-    if (cols == 0) {
-        return;
-    }
-    for (size_t i = 0; i < rows; ++i) {
-        double* r = data + i * cols;
-        double mx = r[0];
-        for (size_t j = 1; j < cols; ++j) {
-            mx = std::max(mx, r[j]);
-        }
-        double sum = 0.0;
-        for (size_t j = 0; j < cols; ++j) {
-            r[j] = std::exp(r[j] - mx);
-            sum += r[j];
-        }
-        for (size_t j = 0; j < cols; ++j) {
-            r[j] /= sum;
-        }
-    }
-}
-
-} // namespace
 
 SelfAttention::SelfAttention(size_t dim, Rng& rng)
     : dim_(dim),
@@ -93,20 +64,35 @@ SelfAttention::inferReference(const Matrix& x) const
     return wo_.inferReference(ctx);
 }
 
-const Matrix&
-SelfAttention::inferBatch(const Matrix& x, const SegmentTable& segs,
-                          Workspace& ws) const
+SelfAttention::Projections
+SelfAttention::project(const Matrix& x, const RowMap* rows,
+                       Workspace& ws) const
 {
     PRUNER_CHECK(x.cols() == dim_);
-    PRUNER_CHECK(segs.totalRows() == x.rows());
-    Matrix& q = ws.alloc(x.rows(), dim_);
-    Matrix& k = ws.alloc(x.rows(), dim_);
-    Matrix& v = ws.alloc(x.rows(), dim_);
-    wq_.inferInto(x, q);
-    wk_.inferInto(x, k);
-    wv_.inferInto(x, v);
+    Matrix* out[3] = {&ws.alloc(x.rows(), dim_), &ws.alloc(x.rows(), dim_),
+                      &ws.alloc(x.rows(), dim_)};
+    wq_.inferInto(x, *out[0]);
+    wk_.inferInto(x, *out[1]);
+    wv_.inferInto(x, *out[2]);
+    if (rows != nullptr) {
+        for (Matrix*& m : out) {
+            Matrix& full = ws.alloc(0, 0);
+            expandRows(*m, *rows, full);
+            m = &full;
+        }
+    }
+    return {out[0], out[1], out[2]};
+}
 
-    Matrix& ctx = ws.alloc(x.rows(), dim_);
+const Matrix&
+SelfAttention::inferBatch(const Matrix& x, const SegmentTable& segs,
+                          Workspace& ws, const RowMap* rows) const
+{
+    const size_t n = rows != nullptr ? rows->size() : x.rows();
+    PRUNER_CHECK(segs.totalRows() == n);
+    const Projections p = project(x, rows, ws);
+
+    Matrix& ctx = ws.alloc(n, dim_);
     Matrix& attn = ws.alloc(0, 0);
     const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(dim_));
     size_t done = 0; // pack rows already attended (aliased blocks skip)
@@ -123,35 +109,34 @@ SelfAttention::inferBatch(const Matrix& x, const SegmentTable& segs,
             // no-op).
             continue;
         }
-        // Q K^T straight off the row-major K pack (nnkernel::matmulNT):
-        // C[i][j] accumulates Q[i][kk] * K[j][kk] over ascending kk, the
-        // reference path's exact core — no K-transpose copy needed.
+        // The whole [t, t] core in one call (nnkernel::attentionCore*):
+        // QK^T straight off the row-major K pack, the reference path's
+        // exact per-element chains.
         attn.resize(t, t);
-        nnkernel::matmulNT(q.row(b), t, dim_, dim_, k.row(b), t, dim_,
-                           attn.row(0), t);
-        attn.scale(inv_sqrt_d);
-        attn.softmaxRows();
-        nnkernel::matmul(attn.row(0), t, t, t, v.row(b), dim_, dim_,
-                         ctx.row(b), dim_);
+        nnkernel::attentionCoreForward(p.q->row(b), p.k->row(b),
+                                       p.v->row(b), t, dim_, inv_sqrt_d,
+                                       attn.row(0), ctx.row(b));
         done = b + t;
     }
-    Matrix& out = ws.alloc(x.rows(), dim_);
+    Matrix& out = ws.alloc(n, dim_);
     wo_.inferInto(ctx, out);
     return out;
 }
 
 const Matrix&
 SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
-                            Workspace& ws, AttentionBatchCache& cache) const
+                            Workspace& ws, AttentionBatchCache& cache,
+                            const RowMap* rows) const
 {
-    PRUNER_CHECK(x.cols() == dim_);
-    PRUNER_CHECK(segs.totalRows() == x.rows());
-    Matrix& q = ws.alloc(x.rows(), dim_);
-    Matrix& k = ws.alloc(x.rows(), dim_);
-    Matrix& v = ws.alloc(x.rows(), dim_);
-    wq_.inferInto(x, q);
-    wk_.inferInto(x, k);
-    wv_.inferInto(x, v);
+    const size_t n = rows != nullptr ? rows->size() : x.rows();
+    PRUNER_CHECK(segs.totalRows() == n);
+    const Projections p = project(x, rows, ws);
+    const Matrix* x_full = &x;
+    if (rows != nullptr) {
+        Matrix& full = ws.alloc(0, 0);
+        expandRows(x, *rows, full);
+        x_full = &full;
+    }
 
     cache.attn_off.resize(segs.count());
     size_t total = 0;
@@ -160,7 +145,7 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
         total += segs.rows(s) * segs.rows(s);
     }
     Matrix& attn_flat = ws.alloc(1, total);
-    Matrix& ctx = ws.alloc(x.rows(), dim_);
+    Matrix& ctx = ws.alloc(n, dim_);
     const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(dim_));
     for (size_t s = 0; s < segs.count(); ++s) {
         const size_t b = segs.begin(s);
@@ -168,22 +153,16 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
         if (t == 0) {
             continue;
         }
-        double* ablock = attn_flat.row(0) + cache.attn_off[s];
-        nnkernel::matmulNT(q.row(b), t, dim_, dim_, k.row(b), t, dim_,
-                           ablock, t);
-        for (size_t e = 0; e < t * t; ++e) {
-            ablock[e] *= inv_sqrt_d;
-        }
-        softmaxRowsRaw(ablock, t, t);
-        nnkernel::matmul(ablock, t, t, t, v.row(b), dim_, dim_, ctx.row(b),
-                         dim_);
+        nnkernel::attentionCoreForward(
+            p.q->row(b), p.k->row(b), p.v->row(b), t, dim_, inv_sqrt_d,
+            attn_flat.row(0) + cache.attn_off[s], ctx.row(b));
     }
-    Matrix& out = ws.alloc(x.rows(), dim_);
+    Matrix& out = ws.alloc(n, dim_);
     wo_.inferInto(ctx, out);
-    cache.x = &x;
-    cache.q = &q;
-    cache.k = &k;
-    cache.v = &v;
+    cache.x = x_full;
+    cache.q = p.q;
+    cache.k = p.k;
+    cache.v = p.v;
     cache.ctx = &ctx;
     cache.attn = &attn_flat;
     return out;
@@ -211,48 +190,18 @@ SelfAttention::backwardBatch(const Matrix& dy,
         if (t == 0) {
             continue;
         }
-        const double* ablock = cache.attn->row(0) + cache.attn_off[s];
-        // dA = dctx V^T (reference: Matrix::matmulNT).
         dattn.resize(t, t);
-        nnkernel::matmulNT(dctx->row(b), t, dim_, dim_, cache.v->row(b), t,
-                           dim_, dattn.row(0), t);
-        // dV = A^T dctx (reference: Matrix::matmulTN from a zero matrix).
-        std::fill(dv.row(b), dv.row(b) + t * dim_, 0.0);
-        nnkernel::matmulTNAcc(ablock, t, t, t, dctx->row(b), dim_, dim_,
-                              dv.row(b), dim_);
-        // Softmax backward per row: dS = A .* (dA - rowsum(dA .* A)).
-        for (size_t i = 0; i < t; ++i) {
-            const double* arow = ablock + i * t;
-            double* drow = dattn.row(i);
-            double dot = 0.0;
-            for (size_t j = 0; j < t; ++j) {
-                dot += drow[j] * arow[j];
-            }
-            for (size_t j = 0; j < t; ++j) {
-                drow[j] = arow[j] * (drow[j] - dot);
-            }
-        }
-        for (size_t e = 0; e < t * t; ++e) {
-            dattn.data()[e] *= inv_sqrt_d;
-        }
-        // dQ = dS K (reference: Matrix::matmul through the fast kernel).
-        nnkernel::matmul(dattn.row(0), t, t, t, cache.k->row(b), dim_, dim_,
-                         dq.row(b), dim_);
-        // dK = dS^T Q (reference: Matrix::matmulTN from a zero matrix).
-        std::fill(dk.row(b), dk.row(b) + t * dim_, 0.0);
-        nnkernel::matmulTNAcc(dattn.row(0), t, t, t, cache.q->row(b), dim_,
-                              dim_, dk.row(b), dim_);
+        nnkernel::attentionCoreBackward(
+            cache.attn->row(0) + cache.attn_off[s], dctx->row(b),
+            cache.q->row(b), cache.k->row(b), cache.v->row(b), t, dim_,
+            inv_sqrt_d, dattn.row(0), dq.row(b), dk.row(b), dv.row(b));
     }
-    // Projection backward in the per-record order (wq, wk, wv), with the
-    // same elementwise dx add sequence.
+    // Projection backward in the per-record order (wq, wk, wv); the
+    // per-record `dx += dxk; dx += dxv` adds ride in the dK and dV
+    // projections' dX stores, in the same order.
     Matrix* dx = wq_.backwardBatch(*cache.x, dq, segs, ws, need_dx);
-    Matrix* dxk = wk_.backwardBatch(*cache.x, dk, segs, ws, need_dx);
-    Matrix* dxv = wv_.backwardBatch(*cache.x, dv, segs, ws, need_dx);
-    if (!need_dx) {
-        return nullptr;
-    }
-    dx->add(*dxk);
-    dx->add(*dxv);
+    wk_.backwardBatch(*cache.x, dk, segs, ws, need_dx, nullptr, dx);
+    wv_.backwardBatch(*cache.x, dv, segs, ws, need_dx, nullptr, dx);
     return dx;
 }
 

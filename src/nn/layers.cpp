@@ -71,7 +71,8 @@ Linear::backward(const Matrix& dy)
 
 Matrix*
 Linear::backwardBatch(const Matrix& x, const Matrix& dy,
-                      const SegmentTable& segs, Workspace& ws, bool need_dx)
+                      const SegmentTable& segs, Workspace& ws, bool need_dx,
+                      const Matrix* dx_relu_act, Matrix* dx_into)
 {
     PRUNER_CHECK_MSG(x.cols() == w_.rows() && dy.cols() == w_.cols() &&
                          x.rows() == dy.rows(),
@@ -104,35 +105,22 @@ Linear::backwardBatch(const Matrix& x, const Matrix& dy,
                                      << ", expected " << expect_begin
                                      << " — aliased tables are "
                                         "inference-only)");
-        expect_begin = b0 + segs.rows(s);
         if (segs.rows(s) == 1) {
+            // A run of one-row segments: each record's partial is its own
+            // row, added straight into db.
             size_t e = s + 1;
             while (e < segs.count() && segs.rows(e) == 1 &&
                    segs.begin(e) == b0 + (e - s)) {
                 ++e;
             }
-            const size_t t = e - s;
-            expect_begin = b0 + t;
-            double* g = db_.row(0);
-            for (size_t r = 0; r < t; ++r) {
-                const double* dr = dy.row(b0 + r);
-                for (size_t j = 0; j < dy.cols(); ++j) {
-                    g[j] += dr[j];
-                }
-            }
+            addRowSums(dy, b0, e - s, db_.row(0), /*partial=*/false);
+            expect_begin = b0 + (e - s);
             s = e;
             continue;
         }
-        const size_t t = segs.rows(s);
         // db partial: the colSum chain from zero, one add per element.
-        double* g = db_.row(0);
-        for (size_t j = 0; j < dy.cols(); ++j) {
-            double acc = 0.0;
-            for (size_t r = 0; r < t; ++r) {
-                acc += dy.at(b0 + r, j);
-            }
-            g[j] += acc;
-        }
+        addRowSums(dy, b0, segs.rows(s), db_.row(0), /*partial=*/true);
+        expect_begin = b0 + segs.rows(s);
         ++s;
     }
     if (segs.count() > 0) {
@@ -157,9 +145,17 @@ Linear::backwardBatch(const Matrix& x, const Matrix& dy,
             wt.at(col, r) = wr[col];
         }
     }
-    Matrix& dx = ws.alloc(dy.rows(), w_.rows());
+    Matrix& dx = dx_into != nullptr ? *dx_into
+                                    : ws.alloc(dy.rows(), w_.rows());
+    PRUNER_CHECK(dx.rows() == dy.rows() && dx.cols() == w_.rows());
+    PRUNER_CHECK(dx_relu_act == nullptr ||
+                 (dx_relu_act->rows() == dx.rows() &&
+                  dx_relu_act->cols() == dx.cols()));
     nnkernel::matmul(dy.row(0), dy.rows(), dy.cols(), dy.cols(), wt.row(0),
-                     wt.cols(), wt.cols(), dx.row(0), dx.cols());
+                     wt.cols(), wt.cols(), dx.row(0), dx.cols(),
+                     /*bias=*/nullptr, /*relu=*/false,
+                     /*accumulate=*/dx_into != nullptr,
+                     dx_relu_act != nullptr ? dx_relu_act->row(0) : nullptr);
     return &dx;
 }
 
@@ -286,27 +282,18 @@ Mlp::backwardBatch(const Matrix& dy, const BatchActs& acts,
                    const SegmentTable& segs, Workspace& ws, bool need_dx)
 {
     PRUNER_CHECK(acts.size() == linears_.size() + 1);
+    // Every ReLU sits between two linears, so its backward (the explicit
+    // multiply by the 1.0/0.0 mask of the cached post-activation — post
+    // > 0 iff pre > 0 — preserving d * 0.0 sign semantics) rides in the
+    // store of the upper linear's dX GEMM: the incoming dy is never
+    // masked.
+    PRUNER_CHECK(relus_.size() + 1 == linears_.size());
     const Matrix* d = &dy;
     Matrix* dx = nullptr;
     for (size_t i = linears_.size(); i-- > 0;) {
-        if (i < relus_.size()) {
-            // ReLU backward off the cached post-activation: post > 0 iff
-            // pre > 0, and the explicit multiply by the 1.0/0.0 mask is
-            // the per-record ReLU::backward op (preserving d * 0.0 sign
-            // semantics), so the bytes match exactly.
-            const Matrix& act = *acts[i + 1];
-            Matrix& masked = ws.alloc(d->rows(), d->cols());
-            const auto& av = act.data();
-            const auto& dv = d->data();
-            auto& mv = masked.data();
-            PRUNER_CHECK(av.size() == dv.size());
-            for (size_t e = 0; e < dv.size(); ++e) {
-                mv[e] = dv[e] * (av[e] > 0.0 ? 1.0 : 0.0);
-            }
-            d = &masked;
-        }
         const bool want_dx = i > 0 || need_dx;
-        dx = linears_[i].backwardBatch(*acts[i], *d, segs, ws, want_dx);
+        dx = linears_[i].backwardBatch(*acts[i], *d, segs, ws, want_dx,
+                                       i > 0 ? acts[i] : nullptr);
         d = dx;
     }
     return need_dx ? dx : nullptr;

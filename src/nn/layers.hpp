@@ -75,10 +75,19 @@ class Linear
      * `need_dx = false` for the first layer to skip the dX GEMM (returns
      * nullptr). Intermediates live in @p ws; zero heap allocations once
      * the workspace is warm.
+     *
+     * Two optional epilogues fuse the caller's next elementwise pass into
+     * the dX GEMM's store, byte for byte: @p dx_relu_act, the previous
+     * layer's post-ReLU activation, gates dX as
+     * dx * (act > 0 ? 1.0 : 0.0) (the batched ReLU backward); @p dx_into
+     * makes the call add dX into that matrix (dx_into + dx per element,
+     * Matrix::add's order) and return it instead of a fresh buffer.
      */
     Matrix* backwardBatch(const Matrix& x, const Matrix& dy,
                           const SegmentTable& segs, Workspace& ws,
-                          bool need_dx = true);
+                          bool need_dx = true,
+                          const Matrix* dx_relu_act = nullptr,
+                          Matrix* dx_into = nullptr);
 
     /** Register parameters with an optimizer. */
     void collectParams(std::vector<ParamRef>& out);

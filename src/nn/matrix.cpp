@@ -12,11 +12,28 @@
 #include <immintrin.h>
 #endif
 
+#include "nn/attention_core.hpp"
+#include "nn/optimizer.hpp"
 #include "support/logging.hpp"
 
 namespace pruner {
 
 namespace nnkernel {
+
+namespace {
+
+/** CPU-supported tiers rejected by their startup self-check (see
+ *  kernelTierDemotions). Atomic: first-use dispatch can race across the
+ *  pool's worker threads. */
+std::atomic<size_t> g_tier_demotions{0};
+
+} // namespace
+
+void
+noteTierDemotion()
+{
+    g_tier_demotions.fetch_add(1, std::memory_order_relaxed);
+}
 
 namespace {
 
@@ -31,18 +48,46 @@ namespace {
 constexpr size_t kBlockI = 4;
 constexpr size_t kBlockJ = 16;
 
-/** Scalar store epilogue shared by the kernel tiers (see matmul()). */
+/**
+ * Store epilogue of matmul(), applied per element in the store step, in
+ * this order: v = acc (+ bias[j]), v = C_old + v (accumulate), relu,
+ * v * (mask > 0 ? 1 : 0). @p bias and @p mask point at the block's
+ * first column (mask also at its first row; rows step by C's ldc).
+ */
+struct Epilogue
+{
+    const double* bias = nullptr;
+    bool relu = false;
+    bool accumulate = false;
+    const double* mask = nullptr;
+
+    /** The epilogue of the sub-block whose first element is C[i][j]. */
+    Epilogue
+    at(size_t i, size_t j, size_t ldc) const
+    {
+        return {bias != nullptr ? bias + j : nullptr, relu, accumulate,
+                mask != nullptr ? mask + i * ldc + j : nullptr};
+    }
+};
+
+/** Scalar store of @p nr accumulators into one C row (see Epilogue);
+ *  @p ep is already offset to that row's first column. */
 inline void
-storeRow(const double* acc, double* crow, const double* bias, size_t nr,
-         bool relu)
+storeRow(const double* acc, double* crow, const Epilogue& ep, size_t nr)
 {
     for (size_t jj = 0; jj < nr; ++jj) {
         double v = acc[jj];
-        if (bias != nullptr) {
-            v += bias[jj];
+        if (ep.bias != nullptr) {
+            v += ep.bias[jj];
         }
-        if (relu) {
+        if (ep.accumulate) {
+            v = crow[jj] + v;
+        }
+        if (ep.relu) {
             v = v > 0.0 ? v : 0.0;
+        }
+        if (ep.mask != nullptr) {
+            v = v * (ep.mask[jj] > 0.0 ? 1.0 : 0.0);
         }
         crow[jj] = v;
     }
@@ -51,7 +96,7 @@ storeRow(const double* acc, double* crow, const double* bias, size_t nr,
 void
 matmulScalarTile(const double* a, size_t m, size_t k, size_t lda,
                  const double* b, size_t n, size_t ldb, double* c,
-                 size_t ldc, const double* bias, bool relu)
+                 size_t ldc, const Epilogue& ep)
 {
     size_t i0 = 0;
     for (; i0 + kBlockI <= m; i0 += kBlockI) {
@@ -68,9 +113,9 @@ matmulScalarTile(const double* a, size_t m, size_t k, size_t lda,
                     }
                 }
             }
-            const double* bj = bias != nullptr ? bias + j0 : nullptr;
             for (size_t ii = 0; ii < kBlockI; ++ii) {
-                storeRow(acc[ii], c + (i0 + ii) * ldc + j0, bj, nr, relu);
+                storeRow(acc[ii], c + (i0 + ii) * ldc + j0,
+                         ep.at(i0 + ii, j0, ldc), nr);
             }
         }
     }
@@ -87,13 +132,35 @@ matmulScalarTile(const double* a, size_t m, size_t k, size_t lda,
                     acc[jj] += aik * brow[jj];
                 }
             }
-            storeRow(acc, c + i0 * ldc + j0,
-                     bias != nullptr ? bias + j0 : nullptr, nr, relu);
+            storeRow(acc, c + i0 * ldc + j0, ep.at(i0, j0, ldc), nr);
         }
     }
 }
 
 #ifdef PRUNER_NNKERNEL_X86
+
+/** AVX2 store of one 4-wide accumulator (see Epilogue): vmaxpd(v, +0.0)
+ *  is +0.0 for v <= 0 and for NaN, and the compare-and-mask builds the
+ *  exact 1.0 / +0.0 factor — bitwise the scalar epilogue. */
+__attribute__((target("avx2"), always_inline)) inline void
+store256(__m256d v, double* cp, const Epilogue& ep, size_t j)
+{
+    if (ep.bias != nullptr) {
+        v = _mm256_add_pd(v, _mm256_loadu_pd(ep.bias + j));
+    }
+    if (ep.accumulate) {
+        v = _mm256_add_pd(_mm256_loadu_pd(cp), v);
+    }
+    if (ep.relu) {
+        v = _mm256_max_pd(v, _mm256_setzero_pd());
+    }
+    if (ep.mask != nullptr) {
+        const __m256d gt = _mm256_cmp_pd(_mm256_loadu_pd(ep.mask + j),
+                                         _mm256_setzero_pd(), _CMP_GT_OQ);
+        v = _mm256_mul_pd(v, _mm256_and_pd(gt, _mm256_set1_pd(1.0)));
+    }
+    _mm256_storeu_pd(cp, v);
+}
 
 /**
  * AVX2 4x8 micro-kernel. Deliberately built from separate _mm256_mul_pd /
@@ -105,72 +172,36 @@ matmulScalarTile(const double* a, size_t m, size_t k, size_t lda,
  */
 __attribute__((target("avx2"))) void
 matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
-           size_t n, size_t ldb, double* c, size_t ldc, const double* bias,
-           bool relu)
+           size_t n, size_t ldb, double* c, size_t ldc, const Epilogue& ep)
 {
     size_t i0 = 0;
     for (; i0 + 4 <= m; i0 += 4) {
         const double* a0 = a + i0 * lda;
         size_t j0 = 0;
         for (; j0 + 8 <= n; j0 += 8) {
-            __m256d acc00 = _mm256_setzero_pd();
-            __m256d acc01 = _mm256_setzero_pd();
-            __m256d acc10 = _mm256_setzero_pd();
-            __m256d acc11 = _mm256_setzero_pd();
-            __m256d acc20 = _mm256_setzero_pd();
-            __m256d acc21 = _mm256_setzero_pd();
-            __m256d acc30 = _mm256_setzero_pd();
-            __m256d acc31 = _mm256_setzero_pd();
+            __m256d acc[4][2];
+            for (size_t ii = 0; ii < 4; ++ii) {
+                acc[ii][0] = _mm256_setzero_pd();
+                acc[ii][1] = _mm256_setzero_pd();
+            }
             for (size_t kk = 0; kk < k; ++kk) {
                 const double* brow = b + kk * ldb + j0;
                 const __m256d b0 = _mm256_loadu_pd(brow);
                 const __m256d b1 = _mm256_loadu_pd(brow + 4);
-                __m256d av = _mm256_set1_pd(a0[0 * lda + kk]);
-                acc00 = _mm256_add_pd(acc00, _mm256_mul_pd(av, b0));
-                acc01 = _mm256_add_pd(acc01, _mm256_mul_pd(av, b1));
-                av = _mm256_set1_pd(a0[1 * lda + kk]);
-                acc10 = _mm256_add_pd(acc10, _mm256_mul_pd(av, b0));
-                acc11 = _mm256_add_pd(acc11, _mm256_mul_pd(av, b1));
-                av = _mm256_set1_pd(a0[2 * lda + kk]);
-                acc20 = _mm256_add_pd(acc20, _mm256_mul_pd(av, b0));
-                acc21 = _mm256_add_pd(acc21, _mm256_mul_pd(av, b1));
-                av = _mm256_set1_pd(a0[3 * lda + kk]);
-                acc30 = _mm256_add_pd(acc30, _mm256_mul_pd(av, b0));
-                acc31 = _mm256_add_pd(acc31, _mm256_mul_pd(av, b1));
+                for (size_t ii = 0; ii < 4; ++ii) {
+                    const __m256d av = _mm256_set1_pd(a0[ii * lda + kk]);
+                    acc[ii][0] =
+                        _mm256_add_pd(acc[ii][0], _mm256_mul_pd(av, b0));
+                    acc[ii][1] =
+                        _mm256_add_pd(acc[ii][1], _mm256_mul_pd(av, b1));
+                }
             }
-            if (bias != nullptr) {
-                const __m256d bias0 = _mm256_loadu_pd(bias + j0);
-                const __m256d bias1 = _mm256_loadu_pd(bias + j0 + 4);
-                acc00 = _mm256_add_pd(acc00, bias0);
-                acc01 = _mm256_add_pd(acc01, bias1);
-                acc10 = _mm256_add_pd(acc10, bias0);
-                acc11 = _mm256_add_pd(acc11, bias1);
-                acc20 = _mm256_add_pd(acc20, bias0);
-                acc21 = _mm256_add_pd(acc21, bias1);
-                acc30 = _mm256_add_pd(acc30, bias0);
-                acc31 = _mm256_add_pd(acc31, bias1);
+            for (size_t ii = 0; ii < 4; ++ii) {
+                const Epilogue row = ep.at(i0 + ii, 0, ldc);
+                double* crow = c + (i0 + ii) * ldc;
+                store256(acc[ii][0], crow + j0, row, j0);
+                store256(acc[ii][1], crow + j0 + 4, row, j0 + 4);
             }
-            if (relu) {
-                // vmaxpd(v, +0.0) returns +0.0 for v <= 0 and for NaN:
-                // bitwise-equal to the scalar (v > 0 ? v : 0.0).
-                const __m256d zero = _mm256_setzero_pd();
-                acc00 = _mm256_max_pd(acc00, zero);
-                acc01 = _mm256_max_pd(acc01, zero);
-                acc10 = _mm256_max_pd(acc10, zero);
-                acc11 = _mm256_max_pd(acc11, zero);
-                acc20 = _mm256_max_pd(acc20, zero);
-                acc21 = _mm256_max_pd(acc21, zero);
-                acc30 = _mm256_max_pd(acc30, zero);
-                acc31 = _mm256_max_pd(acc31, zero);
-            }
-            _mm256_storeu_pd(c + (i0 + 0) * ldc + j0, acc00);
-            _mm256_storeu_pd(c + (i0 + 0) * ldc + j0 + 4, acc01);
-            _mm256_storeu_pd(c + (i0 + 1) * ldc + j0, acc10);
-            _mm256_storeu_pd(c + (i0 + 1) * ldc + j0 + 4, acc11);
-            _mm256_storeu_pd(c + (i0 + 2) * ldc + j0, acc20);
-            _mm256_storeu_pd(c + (i0 + 2) * ldc + j0 + 4, acc21);
-            _mm256_storeu_pd(c + (i0 + 3) * ldc + j0, acc30);
-            _mm256_storeu_pd(c + (i0 + 3) * ldc + j0 + 4, acc31);
         }
         for (; j0 < n; ++j0) {
             for (size_t ii = 0; ii < 4; ++ii) {
@@ -179,12 +210,14 @@ matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
                     acc += a0[ii * lda + kk] * b[kk * ldb + j0];
                 }
                 storeRow(&acc, c + (i0 + ii) * ldc + j0,
-                         bias != nullptr ? bias + j0 : nullptr, 1, relu);
+                         ep.at(i0 + ii, j0, ldc), 1);
             }
         }
     }
     for (; i0 < m; ++i0) {
         const double* arow = a + i0 * lda;
+        const Epilogue row = ep.at(i0, 0, ldc);
+        double* crow = c + i0 * ldc;
         size_t j0 = 0;
         for (; j0 + 8 <= n; j0 += 8) {
             __m256d acc0 = _mm256_setzero_pd();
@@ -197,27 +230,44 @@ matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
                 acc1 = _mm256_add_pd(
                     acc1, _mm256_mul_pd(av, _mm256_loadu_pd(brow + 4)));
             }
-            if (bias != nullptr) {
-                acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(bias + j0));
-                acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(bias + j0 + 4));
-            }
-            if (relu) {
-                const __m256d zero = _mm256_setzero_pd();
-                acc0 = _mm256_max_pd(acc0, zero);
-                acc1 = _mm256_max_pd(acc1, zero);
-            }
-            _mm256_storeu_pd(c + i0 * ldc + j0, acc0);
-            _mm256_storeu_pd(c + i0 * ldc + j0 + 4, acc1);
+            store256(acc0, crow + j0, row, j0);
+            store256(acc1, crow + j0 + 4, row, j0 + 4);
         }
         for (; j0 < n; ++j0) {
             double acc = 0.0;
             for (size_t kk = 0; kk < k; ++kk) {
                 acc += arow[kk] * b[kk * ldb + j0];
             }
-            storeRow(&acc, c + i0 * ldc + j0,
-                     bias != nullptr ? bias + j0 : nullptr, 1, relu);
+            storeRow(&acc, crow + j0, ep.at(i0, j0, ldc), 1);
         }
     }
+}
+
+// GCC implements _mm512_max_pd and the masked moves through masked
+// builtins whose unused pass-through source is _mm512_undefined_pd(),
+// tripping a false-positive -Wmaybe-uninitialized at -O2.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/** AVX-512 store of one 8-wide accumulator: store256's epilogue. */
+__attribute__((target("avx512f"), always_inline)) inline void
+store512(__m512d v, double* cp, const Epilogue& ep, size_t j)
+{
+    if (ep.bias != nullptr) {
+        v = _mm512_add_pd(v, _mm512_loadu_pd(ep.bias + j));
+    }
+    if (ep.accumulate) {
+        v = _mm512_add_pd(_mm512_loadu_pd(cp), v);
+    }
+    if (ep.relu) {
+        v = _mm512_max_pd(v, _mm512_setzero_pd());
+    }
+    if (ep.mask != nullptr) {
+        const __mmask8 gt = _mm512_cmp_pd_mask(
+            _mm512_loadu_pd(ep.mask + j), _mm512_setzero_pd(), _CMP_GT_OQ);
+        v = _mm512_mul_pd(v, _mm512_maskz_mov_pd(gt, _mm512_set1_pd(1.0)));
+    }
+    _mm512_storeu_pd(cp, v);
 }
 
 /**
@@ -225,88 +275,49 @@ matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
  * contract as the AVX2 kernel ("avx512f" carries FMA in hardware, but the
  * explicit _mm512_mul_pd / _mm512_add_pd intrinsics pin the two roundings).
  */
-// GCC implements _mm512_max_pd through a masked builtin whose unused
-// pass-through source is _mm512_undefined_pd(), tripping a false-positive
-// -Wmaybe-uninitialized at -O2.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 __attribute__((target("avx512f"))) void
 matmulAvx512(const double* a, size_t m, size_t k, size_t lda,
              const double* b, size_t n, size_t ldb, double* c, size_t ldc,
-             const double* bias, bool relu)
+             const Epilogue& ep)
 {
     size_t i0 = 0;
     for (; i0 + 4 <= m; i0 += 4) {
         const double* a0 = a + i0 * lda;
         size_t j0 = 0;
         for (; j0 + 16 <= n; j0 += 16) {
-            __m512d acc00 = _mm512_setzero_pd();
-            __m512d acc01 = _mm512_setzero_pd();
-            __m512d acc10 = _mm512_setzero_pd();
-            __m512d acc11 = _mm512_setzero_pd();
-            __m512d acc20 = _mm512_setzero_pd();
-            __m512d acc21 = _mm512_setzero_pd();
-            __m512d acc30 = _mm512_setzero_pd();
-            __m512d acc31 = _mm512_setzero_pd();
+            __m512d acc[4][2];
+            for (size_t ii = 0; ii < 4; ++ii) {
+                acc[ii][0] = _mm512_setzero_pd();
+                acc[ii][1] = _mm512_setzero_pd();
+            }
             for (size_t kk = 0; kk < k; ++kk) {
                 const double* brow = b + kk * ldb + j0;
                 const __m512d b0 = _mm512_loadu_pd(brow);
                 const __m512d b1 = _mm512_loadu_pd(brow + 8);
-                __m512d av = _mm512_set1_pd(a0[0 * lda + kk]);
-                acc00 = _mm512_add_pd(acc00, _mm512_mul_pd(av, b0));
-                acc01 = _mm512_add_pd(acc01, _mm512_mul_pd(av, b1));
-                av = _mm512_set1_pd(a0[1 * lda + kk]);
-                acc10 = _mm512_add_pd(acc10, _mm512_mul_pd(av, b0));
-                acc11 = _mm512_add_pd(acc11, _mm512_mul_pd(av, b1));
-                av = _mm512_set1_pd(a0[2 * lda + kk]);
-                acc20 = _mm512_add_pd(acc20, _mm512_mul_pd(av, b0));
-                acc21 = _mm512_add_pd(acc21, _mm512_mul_pd(av, b1));
-                av = _mm512_set1_pd(a0[3 * lda + kk]);
-                acc30 = _mm512_add_pd(acc30, _mm512_mul_pd(av, b0));
-                acc31 = _mm512_add_pd(acc31, _mm512_mul_pd(av, b1));
+                for (size_t ii = 0; ii < 4; ++ii) {
+                    const __m512d av = _mm512_set1_pd(a0[ii * lda + kk]);
+                    acc[ii][0] =
+                        _mm512_add_pd(acc[ii][0], _mm512_mul_pd(av, b0));
+                    acc[ii][1] =
+                        _mm512_add_pd(acc[ii][1], _mm512_mul_pd(av, b1));
+                }
             }
-            if (bias != nullptr) {
-                const __m512d bias0 = _mm512_loadu_pd(bias + j0);
-                const __m512d bias1 = _mm512_loadu_pd(bias + j0 + 8);
-                acc00 = _mm512_add_pd(acc00, bias0);
-                acc01 = _mm512_add_pd(acc01, bias1);
-                acc10 = _mm512_add_pd(acc10, bias0);
-                acc11 = _mm512_add_pd(acc11, bias1);
-                acc20 = _mm512_add_pd(acc20, bias0);
-                acc21 = _mm512_add_pd(acc21, bias1);
-                acc30 = _mm512_add_pd(acc30, bias0);
-                acc31 = _mm512_add_pd(acc31, bias1);
+            for (size_t ii = 0; ii < 4; ++ii) {
+                const Epilogue row = ep.at(i0 + ii, 0, ldc);
+                double* crow = c + (i0 + ii) * ldc;
+                store512(acc[ii][0], crow + j0, row, j0);
+                store512(acc[ii][1], crow + j0 + 8, row, j0 + 8);
             }
-            if (relu) {
-                const __m512d zero = _mm512_setzero_pd();
-                acc00 = _mm512_max_pd(acc00, zero);
-                acc01 = _mm512_max_pd(acc01, zero);
-                acc10 = _mm512_max_pd(acc10, zero);
-                acc11 = _mm512_max_pd(acc11, zero);
-                acc20 = _mm512_max_pd(acc20, zero);
-                acc21 = _mm512_max_pd(acc21, zero);
-                acc30 = _mm512_max_pd(acc30, zero);
-                acc31 = _mm512_max_pd(acc31, zero);
-            }
-            _mm512_storeu_pd(c + (i0 + 0) * ldc + j0, acc00);
-            _mm512_storeu_pd(c + (i0 + 0) * ldc + j0 + 8, acc01);
-            _mm512_storeu_pd(c + (i0 + 1) * ldc + j0, acc10);
-            _mm512_storeu_pd(c + (i0 + 1) * ldc + j0 + 8, acc11);
-            _mm512_storeu_pd(c + (i0 + 2) * ldc + j0, acc20);
-            _mm512_storeu_pd(c + (i0 + 2) * ldc + j0 + 8, acc21);
-            _mm512_storeu_pd(c + (i0 + 3) * ldc + j0, acc30);
-            _mm512_storeu_pd(c + (i0 + 3) * ldc + j0 + 8, acc31);
         }
         if (j0 < n) {
             // Column remainder: defer to the AVX2 path on the same rows.
             matmulAvx2(a + i0 * lda, 4, k, lda, b + j0, n - j0, ldb,
-                       c + i0 * ldc + j0, ldc,
-                       bias != nullptr ? bias + j0 : nullptr, relu);
+                       c + i0 * ldc + j0, ldc, ep.at(i0, j0, ldc));
         }
     }
     if (i0 < m) {
         matmulAvx2(a + i0 * lda, m - i0, k, lda, b, n, ldb, c + i0 * ldc,
-                   ldc, bias, relu);
+                   ldc, ep.at(i0, 0, ldc));
     }
 }
 #pragma GCC diagnostic pop
@@ -784,138 +795,6 @@ matmulTNAccAvx512(const double* a, size_t rows, size_t acols, size_t lda,
 #pragma GCC diagnostic pop
 
 /**
- * AVX2 fused partial kernel (see matmulTNAddPartial): for each C panel a
- * local accumulator runs over all segment rows in ascending order, then
- * lands in C with a single add — one C pass per call. The B panel
- * (segment rows x j panel) stays L1-resident across the i loop.
- */
-__attribute__((target("avx2"))) void
-matmulTNAddPartialAvx2(const double* a, size_t rows, size_t acols,
-                       size_t lda, const double* b, size_t bcols,
-                       size_t ldb, double* c, size_t ldc)
-{
-    for (size_t i = 0; i < acols; ++i) {
-        double* crow = c + i * ldc;
-        size_t j = 0;
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc = _mm256_setzero_pd();
-            for (size_t r = 0; r < rows; ++r) {
-                const __m256d va = _mm256_set1_pd(a[r * lda + i]);
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va, _mm256_loadu_pd(b + r * ldb + j)));
-            }
-            _mm256_storeu_pd(crow + j,
-                             _mm256_add_pd(_mm256_loadu_pd(crow + j), acc));
-        }
-        for (; j < bcols; ++j) {
-            double acc = 0.0;
-            for (size_t r = 0; r < rows; ++r) {
-                acc += a[r * lda + i] * b[r * ldb + j];
-            }
-            crow[j] += acc;
-        }
-    }
-}
-
-/** AVX-512 tier of the fused partial kernel: 8-wide j panels, remainder
- *  through the AVX2 panel then scalar — same per-element term order. */
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx512f"))) void
-matmulTNAddPartialAvx512(const double* a, size_t rows, size_t acols,
-                         size_t lda, const double* b, size_t bcols,
-                         size_t ldb, double* c, size_t ldc)
-{
-    if (bcols == 64) {
-        // The models' layer width: the whole C row is eight zmm panels,
-        // giving eight independent accumulator chains per A column (the
-        // per-panel chain is rounding-ordered, so it cannot be split —
-        // but panels are independent, which hides the add latency) and
-        // one broadcast per term shared across the row.
-        for (size_t i = 0; i < acols; ++i) {
-            __m512d p0 = _mm512_setzero_pd();
-            __m512d p1 = _mm512_setzero_pd();
-            __m512d p2 = _mm512_setzero_pd();
-            __m512d p3 = _mm512_setzero_pd();
-            __m512d p4 = _mm512_setzero_pd();
-            __m512d p5 = _mm512_setzero_pd();
-            __m512d p6 = _mm512_setzero_pd();
-            __m512d p7 = _mm512_setzero_pd();
-            for (size_t r = 0; r < rows; ++r) {
-                const __m512d va = _mm512_set1_pd(a[r * lda + i]);
-                const double* brow = b + r * ldb;
-                p0 = _mm512_add_pd(
-                    p0, _mm512_mul_pd(va, _mm512_loadu_pd(brow)));
-                p1 = _mm512_add_pd(
-                    p1, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 8)));
-                p2 = _mm512_add_pd(
-                    p2, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 16)));
-                p3 = _mm512_add_pd(
-                    p3, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 24)));
-                p4 = _mm512_add_pd(
-                    p4, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 32)));
-                p5 = _mm512_add_pd(
-                    p5, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 40)));
-                p6 = _mm512_add_pd(
-                    p6, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 48)));
-                p7 = _mm512_add_pd(
-                    p7, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 56)));
-            }
-            double* crow = c + i * ldc;
-            _mm512_storeu_pd(
-                crow, _mm512_add_pd(_mm512_loadu_pd(crow), p0));
-            _mm512_storeu_pd(
-                crow + 8, _mm512_add_pd(_mm512_loadu_pd(crow + 8), p1));
-            _mm512_storeu_pd(
-                crow + 16, _mm512_add_pd(_mm512_loadu_pd(crow + 16), p2));
-            _mm512_storeu_pd(
-                crow + 24, _mm512_add_pd(_mm512_loadu_pd(crow + 24), p3));
-            _mm512_storeu_pd(
-                crow + 32, _mm512_add_pd(_mm512_loadu_pd(crow + 32), p4));
-            _mm512_storeu_pd(
-                crow + 40, _mm512_add_pd(_mm512_loadu_pd(crow + 40), p5));
-            _mm512_storeu_pd(
-                crow + 48, _mm512_add_pd(_mm512_loadu_pd(crow + 48), p6));
-            _mm512_storeu_pd(
-                crow + 56, _mm512_add_pd(_mm512_loadu_pd(crow + 56), p7));
-        }
-        return;
-    }
-    for (size_t i = 0; i < acols; ++i) {
-        double* crow = c + i * ldc;
-        size_t j = 0;
-        for (; j + 8 <= bcols; j += 8) {
-            __m512d acc = _mm512_setzero_pd();
-            for (size_t r = 0; r < rows; ++r) {
-                const __m512d va = _mm512_set1_pd(a[r * lda + i]);
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(va, _mm512_loadu_pd(b + r * ldb + j)));
-            }
-            _mm512_storeu_pd(crow + j,
-                             _mm512_add_pd(_mm512_loadu_pd(crow + j), acc));
-        }
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc = _mm256_setzero_pd();
-            for (size_t r = 0; r < rows; ++r) {
-                const __m256d va = _mm256_set1_pd(a[r * lda + i]);
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va, _mm256_loadu_pd(b + r * ldb + j)));
-            }
-            _mm256_storeu_pd(crow + j,
-                             _mm256_add_pd(_mm256_loadu_pd(crow + j), acc));
-        }
-        for (; j < bcols; ++j) {
-            double acc = 0.0;
-            for (size_t r = 0; r < rows; ++r) {
-                acc += a[r * lda + i] * b[r * ldb + j];
-            }
-            crow[j] += acc;
-        }
-    }
-}
-#pragma GCC diagnostic pop
-
-/**
  * Segment-blocked dW kernels (see matmulTNSegBlocked): C panels live in
  * registers across the whole segment run — per (i, j) panel the
  * accumulator is loaded once, every segment folds in through a local
@@ -1354,7 +1233,7 @@ matmulTNSegBlockedAvx512(const double* a, size_t lda, const double* b,
 
 using MatmulFn = void (*)(const double*, size_t, size_t, size_t,
                           const double*, size_t, size_t, double*, size_t,
-                          const double*, bool);
+                          const Epilogue&);
 
 using MatmulNTFn = void (*)(const double*, size_t, size_t, size_t,
                             const double*, size_t, size_t, double*, size_t);
@@ -1390,7 +1269,7 @@ matchesNaiveKernel(MatmulFn fn)
     for (double& v : b) {
         v = next();
     }
-    fn(a, m, k, k, b, n, n, fast, n, nullptr, false);
+    fn(a, m, k, k, b, n, n, fast, n, Epilogue{});
     matmulNaive(a, m, k, k, b, n, n, naive, n);
     if (std::memcmp(fast, naive, sizeof(fast)) != 0) {
         return false;
@@ -1400,12 +1279,29 @@ matchesNaiveKernel(MatmulFn fn)
     for (double& v : bias) {
         v = next();
     }
-    fn(a, m, k, k, b, n, n, fast, n, bias, true);
+    fn(a, m, k, k, b, n, n, fast, n, Epilogue{bias, true, false, nullptr});
     for (size_t i = 0; i < m; ++i) {
         for (size_t j = 0; j < n; ++j) {
             double v = naive[i * n + j] + bias[j];
             naive[i * n + j] = v > 0.0 ? v : 0.0;
         }
+    }
+    if (std::memcmp(fast, naive, sizeof(fast)) != 0) {
+        return false;
+    }
+    // Accumulate-then-mask epilogue (the backward's dX stores) vs the
+    // standalone add and ReLU-mask passes, on top of the last result,
+    // with a mask laced with zeros, negatives and -0.0.
+    double mask[m * n];
+    for (size_t e = 0; e < m * n; ++e) {
+        mask[e] = e % 3 == 0 ? 0.0 : (e % 5 == 0 ? -0.0 : next());
+    }
+    double prod[m * n];
+    matmulNaive(a, m, k, k, b, n, n, prod, n);
+    fn(a, m, k, k, b, n, n, fast, n, Epilogue{nullptr, false, true, mask});
+    for (size_t e = 0; e < m * n; ++e) {
+        const double v = naive[e] + prod[e];
+        naive[e] = v * (mask[e] > 0.0 ? 1.0 : 0.0);
     }
     return std::memcmp(fast, naive, sizeof(fast)) == 0;
 }
@@ -1438,29 +1334,6 @@ matchesNaiveKernelNT(MatmulNTFn fn)
     fn(a, m, k, k, b, n, k, fast, n);
     matmulNTNaive(a, m, k, k, b, n, k, naive, n);
     return std::memcmp(fast, naive, sizeof(fast)) == 0;
-}
-
-/** Frozen composed-ops fallback for matmulTNAddPartial: per element, the
- *  exact matmulTN chain (ascending r, zero-skip) then one add into C. */
-void
-matmulTNAddPartialNaive(const double* a, size_t rows, size_t acols,
-                        size_t lda, const double* b, size_t bcols,
-                        size_t ldb, double* c, size_t ldc)
-{
-    for (size_t i = 0; i < acols; ++i) {
-        double* crow = c + i * ldc;
-        for (size_t j = 0; j < bcols; ++j) {
-            double acc = 0.0;
-            for (size_t r = 0; r < rows; ++r) {
-                const double ari = a[r * lda + i];
-                if (ari == 0.0) {
-                    continue;
-                }
-                acc += ari * b[r * ldb + j];
-            }
-            crow[j] += acc;
-        }
-    }
 }
 
 /**
@@ -1623,17 +1496,6 @@ struct PickedMatmulTNSeg
     const char* tier;
 };
 
-/** CPU-supported tiers rejected by their startup self-check (see
- *  kernelTierDemotions). Atomic: first-use dispatch can race across the
- *  pool's worker threads. */
-std::atomic<size_t> g_tier_demotions{0};
-
-void
-noteTierDemotion()
-{
-    g_tier_demotions.fetch_add(1, std::memory_order_relaxed);
-}
-
 #ifdef PRUNER_NNKERNEL_X86
 
 PickedMatmul
@@ -1698,26 +1560,6 @@ pickKernelTNAcc()
     return {matmulTNAccNaive, "naive"};
 }
 
-PickedMatmulNT
-pickKernelTNAddPartial()
-{
-    if (__builtin_cpu_supports("avx512f")) {
-        if (matchesAccumulatingReference(matmulTNAddPartialAvx512,
-                                         matmulTNAddPartialNaive)) {
-            return {matmulTNAddPartialAvx512, "avx512"};
-        }
-        noteTierDemotion();
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        if (matchesAccumulatingReference(matmulTNAddPartialAvx2,
-                                         matmulTNAddPartialNaive)) {
-            return {matmulTNAddPartialAvx2, "avx2"};
-        }
-        noteTierDemotion();
-    }
-    return {matmulTNAddPartialNaive, "naive"};
-}
-
 PickedMatmulTNSeg
 pickKernelTNSeg()
 {
@@ -1756,12 +1598,6 @@ pickKernelTNAcc()
     return {matmulTNAccNaive, "naive"};
 }
 
-PickedMatmulNT
-pickKernelTNAddPartial()
-{
-    return {matmulTNAddPartialNaive, "naive"};
-}
-
 PickedMatmulTNSeg
 pickKernelTNSeg()
 {
@@ -1792,13 +1628,6 @@ pickedKernelTNAcc()
     return kernel;
 }
 
-const PickedMatmulNT&
-pickedKernelTNAddPartial()
-{
-    static const PickedMatmulNT kernel = pickKernelTNAddPartial();
-    return kernel;
-}
-
 const PickedMatmulTNSeg&
 pickedKernelTNSeg()
 {
@@ -1812,8 +1641,8 @@ KernelTiers
 kernelTiers()
 {
     return {pickedKernel().tier, pickedKernelNT().tier,
-            pickedKernelTNAcc().tier, pickedKernelTNAddPartial().tier,
-            pickedKernelTNSeg().tier};
+            pickedKernelTNAcc().tier, pickedKernelTNSeg().tier,
+            attentionCoreTier(), adamTier()};
 }
 
 size_t
@@ -1826,9 +1655,10 @@ kernelTierDemotions()
 void
 matmul(const double* a, size_t m, size_t k, size_t lda, const double* b,
        size_t n, size_t ldb, double* c, size_t ldc, const double* bias,
-       bool relu)
+       bool relu, bool accumulate, const double* relu_mask)
 {
-    pickedKernel().fn(a, m, k, lda, b, n, ldb, c, ldc, bias, relu);
+    pickedKernel().fn(a, m, k, lda, b, n, ldb, c, ldc,
+                      Epilogue{bias, relu, accumulate, relu_mask});
 }
 
 void
@@ -1882,15 +1712,6 @@ matmulTNAcc(const double* a, size_t rows, size_t acols, size_t lda,
             const double* b, size_t bcols, size_t ldb, double* c, size_t ldc)
 {
     pickedKernelTNAcc().fn(a, rows, acols, lda, b, bcols, ldb, c, ldc);
-}
-
-void
-matmulTNAddPartial(const double* a, size_t rows, size_t acols, size_t lda,
-                   const double* b, size_t bcols, size_t ldb, double* c,
-                   size_t ldc)
-{
-    pickedKernelTNAddPartial().fn(a, rows, acols, lda, b, bcols, ldb, c,
-                                  ldc);
 }
 
 void
@@ -1958,8 +1779,22 @@ matmulTNSegBlockedNaive(const double* a, size_t lda, const double* b,
             // dispatch accumulated these straight into C (matmulTNAcc).
             matmulTNAccNaive(a, 1, acols, lda, b, bcols, ldb, c, ldc);
         } else {
-            matmulTNAddPartialNaive(a, rows, acols, lda, b, bcols, ldb, c,
-                                    ldc);
+            // Multi-row segment: the matmulTN chain from zero (ascending
+            // r, zero-skip), then one add into C.
+            for (size_t i = 0; i < acols; ++i) {
+                double* crow = c + i * ldc;
+                for (size_t j = 0; j < bcols; ++j) {
+                    double acc = 0.0;
+                    for (size_t r = 0; r < rows; ++r) {
+                        const double ari = a[r * lda + i];
+                        if (ari == 0.0) {
+                            continue;
+                        }
+                        acc += ari * b[r * ldb + j];
+                    }
+                    crow[j] += acc;
+                }
+            }
         }
         a += rows * lda;
         b += rows * ldb;

@@ -34,15 +34,20 @@ namespace nnkernel {
  * register tile; tile sizes are tuned for the 64-wide hidden layers of the
  * cost models (see matrix.cpp).
  *
- * Optional fused epilogue, applied in the store step instead of as extra
- * memory passes: when @p bias is non-null, bias[j] is added to each
- * element; when @p relu, elements rectify as (v > 0 ? v : 0). Both match
- * the standalone passes (addRowVector, ReLU::infer) byte for byte — the
- * same per-element operations, just without re-touching C.
+ * Optional fused epilogue, applied per element in the store step instead
+ * of as extra memory passes, in this order: when @p bias is non-null,
+ * bias[j] is added; when @p accumulate, C's old value is added
+ * (C_old + v); when @p relu, the element rectifies as (v > 0 ? v : 0);
+ * when @p relu_mask is non-null (an [m, n] matrix with C's row stride
+ * ldc), it is multiplied by (relu_mask[i][j] > 0 ? 1.0 : 0.0). Each
+ * matches its standalone pass (addRowVector, Matrix::add, ReLU::infer,
+ * the batched ReLU backward) byte for byte — the same per-element
+ * operations, just without re-touching C.
  */
 void matmul(const double* a, size_t m, size_t k, size_t lda, const double* b,
             size_t n, size_t ldb, double* c, size_t ldc,
-            const double* bias = nullptr, bool relu = false);
+            const double* bias = nullptr, bool relu = false,
+            bool accumulate = false, const double* relu_mask = nullptr);
 
 /**
  * Raw C[m,n] = A[m,k] * B[n,k]^T with B accessed row-major as B^T — no
@@ -94,20 +99,6 @@ void matmulTNAccNaive(const double* a, size_t rows, size_t acols,
                       double* c, size_t ldc);
 
 /**
- * Fused per-segment gradient partial: C[i,j] += P[i,j] where
- * P[i,j] = sum_r A[r,i] * B[r,j] is built in a local accumulator from
- * zero (terms in ascending r, separate mul/add roundings) and added to C
- * in ONE rounding — exactly `grad.add(Matrix::matmulTN(x_seg, dy_seg))`
- * without materializing the partial matrix (one pass over C instead of
- * zero + accumulate + add). Same finite-input / no -0.0-in-C contract as
- * matmulTNAcc; dispatched with a startup self-check against the composed
- * naive ops.
- */
-void matmulTNAddPartial(const double* a, size_t rows, size_t acols,
-                        size_t lda, const double* b, size_t bcols,
-                        size_t ldb, double* c, size_t ldc);
-
-/**
  * Segment-blocked dW reduction: one call covers a whole contiguous
  * segment run. A and B are the packed [sum(seg_rows), acols/bcols]
  * operands; segment s spans the next seg_rows[s] rows of both. For every
@@ -115,7 +106,7 @@ void matmulTNAddPartial(const double* a, size_t rows, size_t acols,
  * (ascending) builds the segment's partial sum_r A[r,i] * B[r,j] in a
  * local register (terms in ascending r, separate mul/add roundings) and
  * folds it in with a single add, and finally stores ONCE — the exact
- * per-element rounding chain of calling matmulTNAddPartial per segment
+ * per-element rounding chain of `c += matmulTN(a_seg, b_seg)` per segment
  * (and, for one-row segments, of matmulTNAcc: a one-row partial is a
  * single product, so 0 + p == p and C + (+0) == C + (-0) == C under the
  * no--0.0-in-C contract). Replaces the per-segment load/add/store C
@@ -128,10 +119,10 @@ void matmulTNSegBlocked(const double* a, size_t lda, const double* b,
                         size_t ldb, const size_t* seg_rows, size_t nsegs,
                         size_t acols, size_t bcols, double* c, size_t ldc);
 
-/** The frozen composed reference for matmulTNSegBlocked: per segment, the
- *  matmulTNAddPartialNaive chain (multi-row) or the matmulTNAccNaive
- *  direct accumulation (one-row) — mirroring the batched backward's
- *  pre-seg-blocked per-segment dispatch. */
+/** The frozen composed reference for matmulTNSegBlocked: per segment,
+ *  the matmulTN chain from zero then one add into C (multi-row) or the
+ *  matmulTNAccNaive direct accumulation (one-row) — mirroring the batched
+ *  backward's pre-seg-blocked per-segment dispatch. */
 void matmulTNSegBlockedNaive(const double* a, size_t lda, const double* b,
                              size_t ldb, const size_t* seg_rows,
                              size_t nsegs, size_t acols, size_t bcols,
@@ -148,8 +139,8 @@ void matmulNaive(const double* a, size_t m, size_t k, size_t lda,
                  const double* b, size_t n, size_t ldb, double* c,
                  size_t ldc);
 
-/** Tier names of the five dispatched GEMM kernels on this host (e.g.
- *  "avx512", "avx2", "scalar", "naive") — the result of the startup
+/** Tier names of the dispatched kernels on this host (e.g. "avx512",
+ *  "avx2", "scalar", "naive", "composed") — the result of the startup
  *  self-check dispatch, for observability (/metrics labels, tune
  *  reports). Forces the dispatch on first call. */
 struct KernelTiers
@@ -157,8 +148,9 @@ struct KernelTiers
     const char* matmul;
     const char* matmul_nt;
     const char* matmul_tn_acc;
-    const char* matmul_tn_add_partial;
     const char* matmul_tn_seg;
+    const char* attention_core; ///< nnkernel::attentionCoreForward/Backward
+    const char* adam;           ///< Adam::stepClipped's update pass
 };
 KernelTiers kernelTiers();
 
@@ -169,6 +161,11 @@ KernelTiers kernelTiers();
  *  dispatch of every kernel on first call; feeds the
  *  kernel_tier_demotions_total metric and the tuneReport warning row. */
 size_t kernelTierDemotions();
+
+/** Records one CPU-supported tier its startup self-check rejected; called
+ *  by the dispatchers of kernels outside matrix.cpp (attention core,
+ *  Adam). */
+void noteTierDemotion();
 
 } // namespace nnkernel
 

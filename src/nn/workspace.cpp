@@ -1,5 +1,8 @@
 #include "nn/workspace.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "support/logging.hpp"
 
 namespace pruner {
@@ -9,6 +12,7 @@ Workspace::reset()
 {
     next_mat_ = 0;
     next_seg_ = 0;
+    next_map_ = 0;
 }
 
 Matrix&
@@ -41,6 +45,17 @@ Workspace::allocSegments()
     return s;
 }
 
+RowMap&
+Workspace::allocRowMap()
+{
+    if (next_map_ == maps_.size()) {
+        maps_.push_back(std::make_unique<RowMap>());
+    }
+    RowMap& m = *maps_[next_map_++];
+    m.clear();
+    return m;
+}
+
 size_t
 Workspace::doublesReserved() const
 {
@@ -59,6 +74,36 @@ threadLocalWorkspace()
 }
 
 void
+addRowSums(const Matrix& x, size_t row0, size_t n, double* out,
+           bool partial)
+{
+    const size_t cols = x.cols();
+    size_t j0 = 0;
+    for (; j0 + 8 <= cols; j0 += 8) {
+        double acc[8];
+        for (size_t jj = 0; jj < 8; ++jj) {
+            acc[jj] = partial ? 0.0 : out[j0 + jj];
+        }
+        for (size_t r = 0; r < n; ++r) {
+            const double* xr = x.row(row0 + r) + j0;
+            for (size_t jj = 0; jj < 8; ++jj) {
+                acc[jj] += xr[jj];
+            }
+        }
+        for (size_t jj = 0; jj < 8; ++jj) {
+            out[j0 + jj] = partial ? out[j0 + jj] + acc[jj] : acc[jj];
+        }
+    }
+    for (; j0 < cols; ++j0) {
+        double acc = partial ? 0.0 : out[j0];
+        for (size_t r = 0; r < n; ++r) {
+            acc += x.at(row0 + r, j0);
+        }
+        out[j0] = partial ? out[j0] + acc : acc;
+    }
+}
+
+void
 segmentColSum(const Matrix& x, const SegmentTable& segs, Matrix& out)
 {
     PRUNER_CHECK_MSG(segs.totalRows() == x.rows(),
@@ -68,15 +113,57 @@ segmentColSum(const Matrix& x, const SegmentTable& segs, Matrix& out)
     out.resize(segs.count(), x.cols());
     out.zero();
     for (size_t s = 0; s < segs.count(); ++s) {
-        double* o = out.row(s);
-        const size_t b = segs.begin(s);
-        const size_t n = segs.rows(s);
-        for (size_t r = 0; r < n; ++r) {
-            const double* xr = x.row(b + r);
-            for (size_t c = 0; c < x.cols(); ++c) {
-                o[c] += xr[c];
+        addRowSums(x, segs.begin(s), segs.rows(s), out.row(s),
+                   /*partial=*/false);
+    }
+}
+
+bool
+compactZeroRows(const Matrix& x, Matrix& compact, RowMap& map)
+{
+    const size_t cols = x.cols();
+    auto is_zero = [&](size_t r) {
+        const double* row = x.row(r);
+        for (size_t c = 0; c < cols; ++c) {
+            uint64_t bits;
+            std::memcpy(&bits, &row[c], sizeof(bits));
+            if (bits != 0) {
+                return false;
             }
         }
+        return true;
+    };
+    // First pass: number the non-zero rows, marking zero rows.
+    constexpr uint32_t kZero = UINT32_MAX;
+    PRUNER_CHECK(x.rows() < kZero);
+    map.resize(x.rows());
+    size_t nonzero = 0;
+    for (size_t r = 0; r < x.rows(); ++r) {
+        map[r] = is_zero(r) ? kZero : static_cast<uint32_t>(nonzero++);
+    }
+    if (x.rows() - nonzero < 2) {
+        map.clear();
+        return false;
+    }
+    compact.resize(nonzero + 1, cols);
+    for (size_t r = 0; r < x.rows(); ++r) {
+        if (map[r] == kZero) {
+            map[r] = static_cast<uint32_t>(nonzero);
+        } else {
+            std::memcpy(compact.row(map[r]), x.row(r), cols * sizeof(double));
+        }
+    }
+    std::fill(compact.row(nonzero), compact.row(nonzero) + cols, 0.0);
+    return true;
+}
+
+void
+expandRows(const Matrix& compact, const RowMap& map, Matrix& full)
+{
+    const size_t cols = compact.cols();
+    full.resize(map.size(), cols);
+    for (size_t r = 0; r < map.size(); ++r) {
+        std::memcpy(full.row(r), compact.row(map[r]), cols * sizeof(double));
     }
 }
 

@@ -17,6 +17,7 @@
  * threadLocalWorkspace()), never across threads.
  */
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -85,6 +86,10 @@ class SegmentTable
     size_t aliases_ = 0;
 };
 
+/** Source row, in a compacted pack, of every row of the full pack (see
+ *  compactZeroRows). */
+using RowMap = std::vector<uint32_t>;
+
 /** Arena of reusable inference buffers (see file comment). */
 class Workspace
 {
@@ -105,6 +110,9 @@ class Workspace
     /** Next segment table, reset to zero segments. */
     SegmentTable& allocSegments();
 
+    /** Next row map, emptied. */
+    RowMap& allocRowMap();
+
     /** Buffers ever created (growth events; a steady-state pass leaves
      *  this unchanged — the workspace-reuse regression tests key on it). */
     size_t matrixBuffers() const { return mats_.size(); }
@@ -116,13 +124,26 @@ class Workspace
   private:
     std::vector<std::unique_ptr<Matrix>> mats_;
     std::vector<std::unique_ptr<SegmentTable>> segs_;
+    std::vector<std::unique_ptr<RowMap>> maps_;
     size_t next_mat_ = 0;
     size_t next_seg_ = 0;
+    size_t next_map_ = 0;
 };
 
 /** Per-thread workspace for the model predict() hot path: reentrant across
  *  pool workers (each thread owns one) and warm after the first batch. */
 Workspace& threadLocalWorkspace();
+
+/**
+ * Adds rows [row0, row0 + n) of @p x into @p out (x.cols() entries),
+ * walking the rows contiguously with eight columns in registers. With
+ * @p partial the rows are summed from zero and the sum is added to out
+ * once (colSum, then one add: a multi-row segment's db chain); without,
+ * every row is added into out in turn. Per element, the exact add
+ * sequence of those scalar loops.
+ */
+void addRowSums(const Matrix& x, size_t row0, size_t n, double* out,
+                bool partial);
 
 /**
  * Per-segment column sums: out[i] = colSum of x rows
@@ -134,6 +155,23 @@ void segmentColSum(const Matrix& x, const SegmentTable& segs, Matrix& out);
 /** Per-segment column means (empty segments yield zero rows), byte-equal
  *  to per-candidate colMean(). */
 void segmentColMean(const Matrix& x, const SegmentTable& segs, Matrix& out);
+
+/**
+ * Zero-row compaction for row-independent layers. Rows of @p x whose
+ * every bit is zero (the zero-padding steps of short dataflow chains) all
+ * map to ONE all-zero row of @p compact, placed after the non-zero rows
+ * (kept in order); @p map receives each x row's row in @p compact.
+ * Linear/Mlp/projection outputs are row-independent, so running them on
+ * @p compact and expanding the result (expandRows) gives the full pack's
+ * bytes while the zero rows are computed once. Returns false, leaving
+ * @p compact untouched and @p map empty, when x has fewer than two zero
+ * rows (nothing to save).
+ */
+bool compactZeroRows(const Matrix& x, Matrix& compact, RowMap& map);
+
+/** full.row(r) = compact.row(map[r]) for every r; @p full is resized to
+ *  [map.size(), compact.cols()]. */
+void expandRows(const Matrix& compact, const RowMap& map, Matrix& full);
 
 /**
  * Pooling backward for the batched trainer: every row of segment i in

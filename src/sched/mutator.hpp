@@ -20,6 +20,10 @@ class ScheduleMutator
 {
   public:
     ScheduleMutator(const SubgraphTask& task, const DeviceSpec& device);
+    // Keeps pointers to both arguments: temporaries would dangle.
+    ScheduleMutator(SubgraphTask&&, const DeviceSpec&) = delete;
+    ScheduleMutator(const SubgraphTask&, DeviceSpec&&) = delete;
+    ScheduleMutator(SubgraphTask&&, DeviceSpec&&) = delete;
 
     /** Return a mutated copy of @p sch (always valid). */
     Schedule mutate(const Schedule& sch, Rng& rng) const;

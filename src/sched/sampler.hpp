@@ -24,6 +24,10 @@ class ScheduleSampler
 {
   public:
     ScheduleSampler(const SubgraphTask& task, const DeviceSpec& device);
+    // Keeps pointers to both arguments: temporaries would dangle.
+    ScheduleSampler(SubgraphTask&&, const DeviceSpec&) = delete;
+    ScheduleSampler(const SubgraphTask&, DeviceSpec&&) = delete;
+    ScheduleSampler(SubgraphTask&&, DeviceSpec&&) = delete;
 
     /** Draw one valid random schedule. */
     Schedule sample(Rng& rng) const;

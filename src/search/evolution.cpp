@@ -119,6 +119,8 @@ EvolutionarySearch::run(const EvolutionConfig& config, const ScoreFn& score,
         for (size_t i = 0; i < population.size(); ++i) {
             weights[i] = std::exp(2.0 * (scores[i] - mx) / spread);
         }
+        // Checked and summed once per generation, not once per draw.
+        const double weight_total = Rng::weightTotal(weights);
 
         std::vector<Schedule> next;
         next.reserve(config.population);
@@ -129,12 +131,12 @@ EvolutionarySearch::run(const EvolutionConfig& config, const ScoreFn& score,
             next.push_back(population[order[e]]);
         }
         while (next.size() < config.population) {
-            const size_t a = rng.weightedIndex(weights);
+            const size_t a = rng.weightedIndex(weights, weight_total);
             if (rng.bernoulli(config.mutation_prob)) {
                 next.push_back(mutator_.mutate(population[a], rng));
                 ++mutations;
             } else {
-                const size_t b = rng.weightedIndex(weights);
+                const size_t b = rng.weightedIndex(weights, weight_total);
                 next.push_back(
                     mutator_.crossover(population[a], population[b], rng));
                 ++crossovers;

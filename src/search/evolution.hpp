@@ -81,6 +81,10 @@ class EvolutionarySearch
 {
   public:
     EvolutionarySearch(const SubgraphTask& task, const DeviceSpec& device);
+    // Keeps pointers to both arguments: temporaries would dangle.
+    EvolutionarySearch(SubgraphTask&&, const DeviceSpec&) = delete;
+    EvolutionarySearch(const SubgraphTask&, DeviceSpec&&) = delete;
+    EvolutionarySearch(SubgraphTask&&, DeviceSpec&&) = delete;
 
     /**
      * Run the GA.

@@ -60,9 +60,9 @@ exportKernelTiers(obs::MetricsRegistry& metrics)
     metrics.setLabel("nn_kernel_matmul", tiers.matmul, ch);
     metrics.setLabel("nn_kernel_matmul_nt", tiers.matmul_nt, ch);
     metrics.setLabel("nn_kernel_matmul_tn_acc", tiers.matmul_tn_acc, ch);
-    metrics.setLabel("nn_kernel_matmul_tn_add_partial",
-                     tiers.matmul_tn_add_partial, ch);
     metrics.setLabel("nn_kernel_matmul_tn_seg", tiers.matmul_tn_seg, ch);
+    metrics.setLabel("nn_kernel_attention_core", tiers.attention_core, ch);
+    metrics.setLabel("nn_kernel_adam", tiers.adam, ch);
     // CPU-supported tiers the startup self-check rejected. Zero on a
     // healthy host; nonzero means a vector kernel broke its byte-identity
     // contract and silently fell back (surfaced as a tuneReport warning).

@@ -127,12 +127,24 @@ Rng::index(size_t n)
 size_t
 Rng::weightedIndex(const std::vector<double>& weights)
 {
-    PRUNER_CHECK(!weights.empty());
+    return weightedIndex(weights, weightTotal(weights));
+}
+
+double
+Rng::weightTotal(const std::vector<double>& weights)
+{
     double total = 0.0;
     for (double w : weights) {
         PRUNER_CHECK_MSG(w >= 0.0, "negative weight " << w);
         total += w;
     }
+    return total;
+}
+
+size_t
+Rng::weightedIndex(const std::vector<double>& weights, double total)
+{
+    PRUNER_CHECK(!weights.empty());
     if (total <= 0.0) {
         return index(weights.size());
     }

@@ -72,6 +72,17 @@ class Rng
      */
     size_t weightedIndex(const std::vector<double>& weights);
 
+    /**
+     * weightedIndex() against a precomputed weightTotal(@p weights): the
+     * same draw, bit for bit, without re-checking and re-summing the
+     * weights — for repeated draws from one weight vector.
+     */
+    size_t weightedIndex(const std::vector<double>& weights, double total);
+
+    /** Checks that every weight is non-negative and returns their sum in
+     *  index order (the total weightedIndex() draws against). */
+    static double weightTotal(const std::vector<double>& weights);
+
     /** Fisher-Yates shuffle. */
     template <typename T>
     void

@@ -105,7 +105,8 @@ testTask()
 std::vector<Schedule>
 sampleSchedules(size_t n, uint64_t seed = 91)
 {
-    ScheduleSampler sampler(testTask(), DeviceSpec::a100());
+    const DeviceSpec device = DeviceSpec::a100();
+    ScheduleSampler sampler(testTask(), device);
     Rng rng(seed);
     return sampler.sampleMany(rng, n);
 }

@@ -155,7 +155,8 @@ expectTrainingIdentity(const Args&... args)
             << batched.name() << " weights diverged at " << n << " records";
         // Post-train predictions: batched engine vs per-candidate loop.
         const auto& task = records.front().task;
-        ScheduleSampler sampler(task, DeviceSpec::a100());
+        const DeviceSpec device = DeviceSpec::a100();
+        ScheduleSampler sampler(task, device);
         Rng rng(n + 11);
         const auto cands = sampler.sampleMany(rng, 32);
         EXPECT_TRUE(bitwiseEqual(batched.predict(task, cands),
@@ -276,6 +277,57 @@ gradSnapshot(const std::vector<ParamRef>& params)
                     p.grad->data().end());
     }
     return flat;
+}
+
+TEST(BatchedBackward, DxEpiloguesMatchUnfusedPasses)
+{
+    // Linear::backwardBatch's fused dX stores against the passes they
+    // replace: the ReLU mask of the layer below (dx * (act > 0 ? 1 : 0),
+    // act laced with zeros) and the attention's dx += dxk accumulation.
+    // The parameter gradients must not move either.
+    Rng rng(223);
+    Linear fused(16, 8, rng);
+    Linear plain = fused;
+    std::vector<ParamRef> fused_params, plain_params;
+    fused.collectParams(fused_params);
+    plain.collectParams(plain_params);
+    const Matrix x = Matrix::randn(13, 16, rng, 1.0);
+    const Matrix dy = Matrix::randn(13, 8, rng, 1.0);
+    Matrix act = Matrix::randn(13, 16, rng, 1.0);
+    for (size_t e = 0; e < act.size(); e += 5) {
+        act.data()[e] = e % 10 == 0 ? 0.0 : -0.0;
+    }
+    Matrix acc0 = Matrix::randn(13, 16, rng, 1.0);
+    SegmentTable segs;
+    segs.append(4);
+    segs.append(1);
+    segs.append(1);
+    segs.append(7);
+
+    Workspace ws_fused, ws_plain;
+    const Matrix* masked =
+        fused.backwardBatch(x, dy, segs, ws_fused, true, &act);
+    Matrix expect = *plain.backwardBatch(x, dy, segs, ws_plain, true);
+    for (size_t e = 0; e < expect.size(); ++e) {
+        expect.data()[e] =
+            expect.data()[e] * (act.data()[e] > 0.0 ? 1.0 : 0.0);
+    }
+    ASSERT_NE(masked, nullptr);
+    EXPECT_EQ(std::memcmp(masked->data().data(), expect.data().data(),
+                          expect.size() * sizeof(double)),
+              0);
+
+    Matrix into = acc0;
+    const Matrix* added =
+        fused.backwardBatch(x, dy, segs, ws_fused, true, nullptr, &into);
+    Matrix expect_add = acc0;
+    expect_add.add(*plain.backwardBatch(x, dy, segs, ws_plain, true));
+    EXPECT_EQ(added, &into);
+    EXPECT_EQ(std::memcmp(into.data().data(), expect_add.data().data(),
+                          into.size() * sizeof(double)),
+              0);
+    EXPECT_TRUE(bitwiseEqual(gradSnapshot(fused_params),
+                             gradSnapshot(plain_params)));
 }
 
 TEST(BatchedBackward, MlpMatchesPerRecordBitwise)

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <tuple>
+#include <type_traits>
 
 #include "device/device_spec.hpp"
 #include "ir/task.hpp"
@@ -15,6 +16,19 @@
 
 namespace pruner {
 namespace {
+
+// The sampler and mutator keep pointers to their task and device, so
+// binding a temporary must not compile.
+static_assert(std::is_constructible_v<ScheduleSampler, const SubgraphTask&,
+                                      const DeviceSpec&>);
+static_assert(!std::is_constructible_v<ScheduleSampler, const SubgraphTask&,
+                                       DeviceSpec&&>);
+static_assert(!std::is_constructible_v<ScheduleSampler, SubgraphTask&&,
+                                       const DeviceSpec&>);
+static_assert(!std::is_constructible_v<ScheduleMutator, const SubgraphTask&,
+                                       DeviceSpec&&>);
+static_assert(!std::is_constructible_v<ScheduleMutator, SubgraphTask&&,
+                                       DeviceSpec&&>);
 
 TEST(Tiling, CeilDivAndRoundUp)
 {

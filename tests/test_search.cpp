@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <type_traits>
 
 #include "baselines/ansor.hpp"
 #include "core/symbol_analyzer.hpp"
@@ -20,6 +21,12 @@
 
 namespace pruner {
 namespace {
+
+// EvolutionarySearch keeps pointers to its task and device.
+static_assert(!std::is_constructible_v<EvolutionarySearch,
+                                       const SubgraphTask&, DeviceSpec&&>);
+static_assert(!std::is_constructible_v<EvolutionarySearch, SubgraphTask&&,
+                                       const DeviceSpec&>);
 
 MeasuredRecord
 record(const SubgraphTask& task, const Schedule& sch, double lat)

@@ -111,6 +111,25 @@ TEST(Rng, WeightedIndexRespectsWeights)
     EXPECT_NEAR(static_cast<double>(counts[2]) / counts[1], 3.0, 0.3);
 }
 
+TEST(Rng, WeightedIndexWithPrecomputedTotalIsTheSameDraw)
+{
+    // Drawing against weightTotal() once must reproduce the per-call
+    // draws exactly: same indices, same RNG stream afterwards.
+    std::vector<double> w{0.3, 0.0, 1.7, 0.1, 2.9, 0.05};
+    Rng a(23), b(23);
+    const double total = Rng::weightTotal(w);
+    for (int i = 0; i < 500; ++i) {
+        ASSERT_EQ(a.weightedIndex(w), b.weightedIndex(w, total));
+    }
+    EXPECT_EQ(a(), b());
+    const std::vector<double> zeros(4, 0.0);
+    Rng c(29), d(29);
+    for (int i = 0; i < 50; ++i) {
+        ASSERT_EQ(c.weightedIndex(zeros),
+                  d.weightedIndex(zeros, Rng::weightTotal(zeros)));
+    }
+}
+
 TEST(Rng, WeightedIndexAllZeroFallsBackToUniform)
 {
     Rng rng(19);
