@@ -7,13 +7,12 @@
 # it sits in), runs every workload of scripts/fingerprints.txt at its
 # seed for a short end-to-end run, and compares the result fingerprint
 # perfbench prints on stderr with the table. Exits 1 on any mismatch or
-# failed run. PERFBENCH_SECONDS (default 1) sets each run's length; one
-# tune() call is always made.
+# failed run. Each run lasts one second; perfbench always makes at least
+# one tune() call.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 table="$root/scripts/fingerprints.txt"
-seconds="${PERFBENCH_SECONDS:-1}"
 status=0
 
 while read -r workload seed expect _; do
@@ -21,7 +20,7 @@ while read -r workload seed expect _; do
         continue
     fi
     if ! err="$(python3 "$root/perfbench/run.py" --workload "$workload" \
-                    --seed "$seed" --seconds "$seconds" --trace 0 \
+                    --seed "$seed" --seconds 1 --trace 0 \
                     2>&1 >/dev/null)"; then
         printf '%s\n' "$err" >&2
         echo "FAIL  $workload seed $seed: perfbench run failed" >&2

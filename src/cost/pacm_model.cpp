@@ -74,16 +74,8 @@ PaCMModel::forwardBatch(const Matrix& stmt_pack,
     }
     if (cfg_.use_dataflow_features) {
         PRUNER_CHECK(flow_segs.count() == n);
-        // Zero-padding steps are identical all-zero rows: the embedding
-        // and the Q/K/V projections compute them once (row-independent
-        // layers, so no output byte moves).
-        Matrix& compact = ws.alloc(0, kDataflowFeatureDim);
-        RowMap& rows = ws.allocRowMap();
-        const bool compacted = compactZeroRows(flow_pack, compact, rows);
-        const Matrix& embedded =
-            flow_embed_.inferBatch(compacted ? compact : flow_pack, ws);
-        const Matrix& ctx = attn_.inferBatch(embedded, flow_segs, ws,
-                                             compacted ? &rows : nullptr);
+        const Matrix& embedded = flow_embed_.inferBatch(flow_pack, ws);
+        const Matrix& ctx = attn_.inferBatch(embedded, flow_segs, ws);
         Matrix& pooled = ws.alloc(n, kHidden);
         segmentColMean(ctx, flow_segs, pooled);
         for (size_t i = 0; i < n; ++i) {
@@ -249,27 +241,10 @@ PaCMModel::scoreBatch(const Matrix& stmt_pack,
     }
     if (cfg_.use_dataflow_features) {
         PRUNER_CHECK(flow_segs.count() == n);
-        // Zero-row compaction as in forwardBatch. The backward walks every
-        // pack row, so the cached layer inputs are expanded back; the
-        // branch output (acts.back(), never read by the backward) stays
-        // compact and the attention expands it into its own cache.
-        Matrix& compact = ws.alloc(0, kDataflowFeatureDim);
-        RowMap& rows = ws.allocRowMap();
-        const bool compacted = compactZeroRows(flow_pack, compact, rows);
-        const Matrix& embedded = flow_embed_.forwardBatch(
-            compacted ? compact : flow_pack, ws, caches.flow_acts);
-        if (compacted) {
-            BatchActs& acts = caches.flow_acts;
-            acts.front() = &flow_pack;
-            for (size_t i = 1; i + 1 < acts.size(); ++i) {
-                Matrix& full = ws.alloc(0, 0);
-                expandRows(*acts[i], rows, full);
-                acts[i] = &full;
-            }
-        }
+        const Matrix& embedded =
+            flow_embed_.forwardBatch(flow_pack, ws, caches.flow_acts);
         const Matrix& ctx =
-            attn_.forwardBatch(embedded, flow_segs, ws, caches.attn,
-                               compacted ? &rows : nullptr);
+            attn_.forwardBatch(embedded, flow_segs, ws, caches.attn);
         Matrix& pooled = ws.alloc(n, kHidden);
         segmentColMean(ctx, flow_segs, pooled);
         for (size_t i = 0; i < n; ++i) {

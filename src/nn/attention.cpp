@@ -3,10 +3,95 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/attention_core.hpp"
 #include "support/logging.hpp"
 
 namespace pruner {
+
+namespace {
+
+/** Row-wise softmax on a raw [rows, cols] block — the exact loop of
+ *  Matrix::softmaxRows (same ops, same order, same bytes). */
+void
+softmaxRowsRaw(double* data, size_t rows, size_t cols)
+{
+    if (cols == 0) {
+        return;
+    }
+    for (size_t i = 0; i < rows; ++i) {
+        double* r = data + i * cols;
+        double mx = r[0];
+        for (size_t j = 1; j < cols; ++j) {
+            mx = std::max(mx, r[j]);
+        }
+        double sum = 0.0;
+        for (size_t j = 0; j < cols; ++j) {
+            r[j] = std::exp(r[j] - mx);
+            sum += r[j];
+        }
+        for (size_t j = 0; j < cols; ++j) {
+            r[j] /= sum;
+        }
+    }
+}
+
+/**
+ * Forward core of one segment: S = Q Kᵀ, S *= @p scale, row-wise softmax
+ * into @p attn ([t, t]), ctx = A V. @p q, @p k, @p v and @p ctx are
+ * [t, d] blocks with row stride d. QKᵀ runs straight off the row-major K
+ * pack (nnkernel::matmulNT), the reference path's exact core.
+ */
+void
+attentionCoreForward(const double* q, const double* k, const double* v,
+                     size_t t, size_t d, double scale, double* attn,
+                     double* ctx)
+{
+    nnkernel::matmulNT(q, t, d, d, k, t, d, attn, t);
+    for (size_t e = 0; e < t * t; ++e) {
+        attn[e] *= scale;
+    }
+    softmaxRowsRaw(attn, t, t);
+    nnkernel::matmul(attn, t, t, t, v, d, d, ctx, d);
+}
+
+/**
+ * Backward core of one segment from the forward's softmax block @p attn
+ * and the upstream gradient @p dctx: overwrites @p dq, @p dk and @p dv.
+ * @p dattn is [t, t] scratch.
+ */
+void
+attentionCoreBackward(const double* attn, const double* dctx,
+                      const double* q, const double* k, const double* v,
+                      size_t t, size_t d, double scale, double* dattn,
+                      double* dq, double* dk, double* dv)
+{
+    // dA = dctx V^T (reference: Matrix::matmulNT).
+    nnkernel::matmulNT(dctx, t, d, d, v, t, d, dattn, t);
+    // dV = A^T dctx (reference: Matrix::matmulTN from a zero matrix).
+    std::fill(dv, dv + t * d, 0.0);
+    nnkernel::matmulTNAcc(attn, t, t, t, dctx, d, d, dv, d);
+    // Softmax backward per row: dS = A .* (dA - rowsum(dA .* A)).
+    for (size_t i = 0; i < t; ++i) {
+        const double* arow = attn + i * t;
+        double* drow = dattn + i * t;
+        double dot = 0.0;
+        for (size_t j = 0; j < t; ++j) {
+            dot += drow[j] * arow[j];
+        }
+        for (size_t j = 0; j < t; ++j) {
+            drow[j] = arow[j] * (drow[j] - dot);
+        }
+    }
+    for (size_t e = 0; e < t * t; ++e) {
+        dattn[e] *= scale;
+    }
+    // dQ = dS K (reference: Matrix::matmul through the fast kernel).
+    nnkernel::matmul(dattn, t, t, t, k, d, d, dq, d);
+    // dK = dS^T Q (reference: Matrix::matmulTN from a zero matrix).
+    std::fill(dk, dk + t * d, 0.0);
+    nnkernel::matmulTNAcc(dattn, t, t, t, q, d, d, dk, d);
+}
+
+} // namespace
 
 SelfAttention::SelfAttention(size_t dim, Rng& rng)
     : dim_(dim),
@@ -64,35 +149,20 @@ SelfAttention::inferReference(const Matrix& x) const
     return wo_.inferReference(ctx);
 }
 
-SelfAttention::Projections
-SelfAttention::project(const Matrix& x, const RowMap* rows,
-                       Workspace& ws) const
-{
-    PRUNER_CHECK(x.cols() == dim_);
-    Matrix* out[3] = {&ws.alloc(x.rows(), dim_), &ws.alloc(x.rows(), dim_),
-                      &ws.alloc(x.rows(), dim_)};
-    wq_.inferInto(x, *out[0]);
-    wk_.inferInto(x, *out[1]);
-    wv_.inferInto(x, *out[2]);
-    if (rows != nullptr) {
-        for (Matrix*& m : out) {
-            Matrix& full = ws.alloc(0, 0);
-            expandRows(*m, *rows, full);
-            m = &full;
-        }
-    }
-    return {out[0], out[1], out[2]};
-}
-
 const Matrix&
 SelfAttention::inferBatch(const Matrix& x, const SegmentTable& segs,
-                          Workspace& ws, const RowMap* rows) const
+                          Workspace& ws) const
 {
-    const size_t n = rows != nullptr ? rows->size() : x.rows();
-    PRUNER_CHECK(segs.totalRows() == n);
-    const Projections p = project(x, rows, ws);
+    PRUNER_CHECK(x.cols() == dim_);
+    PRUNER_CHECK(segs.totalRows() == x.rows());
+    Matrix& q = ws.alloc(x.rows(), dim_);
+    Matrix& k = ws.alloc(x.rows(), dim_);
+    Matrix& v = ws.alloc(x.rows(), dim_);
+    wq_.inferInto(x, q);
+    wk_.inferInto(x, k);
+    wv_.inferInto(x, v);
 
-    Matrix& ctx = ws.alloc(n, dim_);
+    Matrix& ctx = ws.alloc(x.rows(), dim_);
     Matrix& attn = ws.alloc(0, 0);
     const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(dim_));
     size_t done = 0; // pack rows already attended (aliased blocks skip)
@@ -109,34 +179,28 @@ SelfAttention::inferBatch(const Matrix& x, const SegmentTable& segs,
             // no-op).
             continue;
         }
-        // The whole [t, t] core in one call (nnkernel::attentionCore*):
-        // QK^T straight off the row-major K pack, the reference path's
-        // exact per-element chains.
         attn.resize(t, t);
-        nnkernel::attentionCoreForward(p.q->row(b), p.k->row(b),
-                                       p.v->row(b), t, dim_, inv_sqrt_d,
-                                       attn.row(0), ctx.row(b));
+        attentionCoreForward(q.row(b), k.row(b), v.row(b), t, dim_,
+                             inv_sqrt_d, attn.row(0), ctx.row(b));
         done = b + t;
     }
-    Matrix& out = ws.alloc(n, dim_);
+    Matrix& out = ws.alloc(x.rows(), dim_);
     wo_.inferInto(ctx, out);
     return out;
 }
 
 const Matrix&
 SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
-                            Workspace& ws, AttentionBatchCache& cache,
-                            const RowMap* rows) const
+                            Workspace& ws, AttentionBatchCache& cache) const
 {
-    const size_t n = rows != nullptr ? rows->size() : x.rows();
-    PRUNER_CHECK(segs.totalRows() == n);
-    const Projections p = project(x, rows, ws);
-    const Matrix* x_full = &x;
-    if (rows != nullptr) {
-        Matrix& full = ws.alloc(0, 0);
-        expandRows(x, *rows, full);
-        x_full = &full;
-    }
+    PRUNER_CHECK(x.cols() == dim_);
+    PRUNER_CHECK(segs.totalRows() == x.rows());
+    Matrix& q = ws.alloc(x.rows(), dim_);
+    Matrix& k = ws.alloc(x.rows(), dim_);
+    Matrix& v = ws.alloc(x.rows(), dim_);
+    wq_.inferInto(x, q);
+    wk_.inferInto(x, k);
+    wv_.inferInto(x, v);
 
     cache.attn_off.resize(segs.count());
     size_t total = 0;
@@ -145,7 +209,7 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
         total += segs.rows(s) * segs.rows(s);
     }
     Matrix& attn_flat = ws.alloc(1, total);
-    Matrix& ctx = ws.alloc(n, dim_);
+    Matrix& ctx = ws.alloc(x.rows(), dim_);
     const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(dim_));
     for (size_t s = 0; s < segs.count(); ++s) {
         const size_t b = segs.begin(s);
@@ -153,16 +217,16 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
         if (t == 0) {
             continue;
         }
-        nnkernel::attentionCoreForward(
-            p.q->row(b), p.k->row(b), p.v->row(b), t, dim_, inv_sqrt_d,
-            attn_flat.row(0) + cache.attn_off[s], ctx.row(b));
+        attentionCoreForward(q.row(b), k.row(b), v.row(b), t, dim_,
+                             inv_sqrt_d, attn_flat.row(0) + cache.attn_off[s],
+                             ctx.row(b));
     }
-    Matrix& out = ws.alloc(n, dim_);
+    Matrix& out = ws.alloc(x.rows(), dim_);
     wo_.inferInto(ctx, out);
-    cache.x = x_full;
-    cache.q = p.q;
-    cache.k = p.k;
-    cache.v = p.v;
+    cache.x = &x;
+    cache.q = &q;
+    cache.k = &k;
+    cache.v = &v;
     cache.ctx = &ctx;
     cache.attn = &attn_flat;
     return out;
@@ -191,10 +255,10 @@ SelfAttention::backwardBatch(const Matrix& dy,
             continue;
         }
         dattn.resize(t, t);
-        nnkernel::attentionCoreBackward(
-            cache.attn->row(0) + cache.attn_off[s], dctx->row(b),
-            cache.q->row(b), cache.k->row(b), cache.v->row(b), t, dim_,
-            inv_sqrt_d, dattn.row(0), dq.row(b), dk.row(b), dv.row(b));
+        attentionCoreBackward(cache.attn->row(0) + cache.attn_off[s],
+                              dctx->row(b), cache.q->row(b), cache.k->row(b),
+                              cache.v->row(b), t, dim_, inv_sqrt_d,
+                              dattn.row(0), dq.row(b), dk.row(b), dv.row(b));
     }
     // Projection backward in the per-record order (wq, wk, wv); the
     // per-record `dx += dxk; dx += dxv` adds ride in the dK and dV

@@ -53,16 +53,10 @@ class SelfAttention
      * (attention must not leak across candidates, so the scores matrix is
      * block-diagonal by construction). Intermediates come from @p ws; each
      * segment's output rows are byte-identical to infer() on that segment
-     * alone. Returns a workspace-owned [segs.totalRows(), dim] matrix.
-     *
-     * With @p rows, @p x is a compacted pack (compactZeroRows): pack row
-     * r's input is x.row((*rows)[r]). The Q/K/V projections then run on
-     * the compact rows only and are expanded before the cores — the same
-     * bytes, fewer GEMM rows.
+     * alone. Returns a workspace-owned [x.rows, dim] matrix.
      */
     const Matrix& inferBatch(const Matrix& x, const SegmentTable& segs,
-                             Workspace& ws,
-                             const RowMap* rows = nullptr) const;
+                             Workspace& ws) const;
 
     /** Frozen pre-batching forward on the naive golden kernels (see
      *  Linear::inferReference). */
@@ -72,12 +66,11 @@ class SelfAttention
      * Batched training forward: identical computation (and bytes) to
      * inferBatch, additionally caching the projection packs and the
      * per-segment softmax blocks in @p cache for backwardBatch. Returns
-     * the ws-owned output pack. @p rows works as in inferBatch; the cache
-     * then holds the expanded (full-pack) input.
+     * the ws-owned output pack.
      */
     const Matrix& forwardBatch(const Matrix& x, const SegmentTable& segs,
-                               Workspace& ws, AttentionBatchCache& cache,
-                               const RowMap* rows = nullptr) const;
+                               Workspace& ws,
+                               AttentionBatchCache& cache) const;
 
     /**
      * Segment-aware batched backward: the four projections' dW/db
@@ -101,17 +94,6 @@ class SelfAttention
     size_t dim() const { return dim_; }
 
   private:
-    /** The Q, K and V packs of @p x (workspace-owned), expanded to the
-     *  full pack when @p rows maps a compacted x (see inferBatch). */
-    struct Projections
-    {
-        const Matrix* q;
-        const Matrix* k;
-        const Matrix* v;
-    };
-    Projections project(const Matrix& x, const RowMap* rows,
-                        Workspace& ws) const;
-
     size_t dim_ = 0;
     Linear wq_, wk_, wv_, wo_;
     // Caches for backward.

@@ -12,7 +12,6 @@
 #include <immintrin.h>
 #endif
 
-#include "nn/attention_core.hpp"
 #include "nn/optimizer.hpp"
 #include "support/logging.hpp"
 
@@ -139,27 +138,59 @@ matmulScalarTile(const double* a, size_t m, size_t k, size_t lda,
 
 #ifdef PRUNER_NNKERNEL_X86
 
-/** AVX2 store of one 4-wide accumulator (see Epilogue): vmaxpd(v, +0.0)
- *  is +0.0 for v <= 0 and for NaN, and the compare-and-mask builds the
- *  exact 1.0 / +0.0 factor — bitwise the scalar epilogue. */
+/**
+ * AVX2 epilogue and store of @p rows x 2 four-wide accumulators, row ii
+ * at C row pointer c + ii * ldc, columns [j, j + 8) of the block whose
+ * epilogue is @p ep. Each op of the scalar epilogue (see Epilogue) runs
+ * over the whole tile under one branch. vmaxpd(v, +0.0) is +0.0 for
+ * v <= 0 and for NaN, and the compare-and-mask builds the exact
+ * 1.0 / +0.0 factor — bitwise the scalar epilogue.
+ */
+template <size_t rows>
 __attribute__((target("avx2"), always_inline)) inline void
-store256(__m256d v, double* cp, const Epilogue& ep, size_t j)
+storeTile256(__m256d (&acc)[rows][2], double* c, size_t ldc,
+             const Epilogue& ep, size_t i, size_t j)
 {
     if (ep.bias != nullptr) {
-        v = _mm256_add_pd(v, _mm256_loadu_pd(ep.bias + j));
+        const __m256d b0 = _mm256_loadu_pd(ep.bias + j);
+        const __m256d b1 = _mm256_loadu_pd(ep.bias + j + 4);
+        for (size_t ii = 0; ii < rows; ++ii) {
+            acc[ii][0] = _mm256_add_pd(acc[ii][0], b0);
+            acc[ii][1] = _mm256_add_pd(acc[ii][1], b1);
+        }
     }
     if (ep.accumulate) {
-        v = _mm256_add_pd(_mm256_loadu_pd(cp), v);
+        for (size_t ii = 0; ii < rows; ++ii) {
+            for (size_t h = 0; h < 2; ++h) {
+                acc[ii][h] = _mm256_add_pd(
+                    _mm256_loadu_pd(c + ii * ldc + 4 * h), acc[ii][h]);
+            }
+        }
     }
     if (ep.relu) {
-        v = _mm256_max_pd(v, _mm256_setzero_pd());
+        const __m256d zero = _mm256_setzero_pd();
+        for (size_t ii = 0; ii < rows; ++ii) {
+            acc[ii][0] = _mm256_max_pd(acc[ii][0], zero);
+            acc[ii][1] = _mm256_max_pd(acc[ii][1], zero);
+        }
     }
     if (ep.mask != nullptr) {
-        const __m256d gt = _mm256_cmp_pd(_mm256_loadu_pd(ep.mask + j),
-                                         _mm256_setzero_pd(), _CMP_GT_OQ);
-        v = _mm256_mul_pd(v, _mm256_and_pd(gt, _mm256_set1_pd(1.0)));
+        const __m256d zero = _mm256_setzero_pd();
+        const __m256d one = _mm256_set1_pd(1.0);
+        for (size_t ii = 0; ii < rows; ++ii) {
+            const double* mrow = ep.mask + (i + ii) * ldc + j;
+            for (size_t h = 0; h < 2; ++h) {
+                const __m256d gt = _mm256_cmp_pd(
+                    _mm256_loadu_pd(mrow + 4 * h), zero, _CMP_GT_OQ);
+                acc[ii][h] =
+                    _mm256_mul_pd(acc[ii][h], _mm256_and_pd(gt, one));
+            }
+        }
     }
-    _mm256_storeu_pd(cp, v);
+    for (size_t ii = 0; ii < rows; ++ii) {
+        _mm256_storeu_pd(c + ii * ldc, acc[ii][0]);
+        _mm256_storeu_pd(c + ii * ldc + 4, acc[ii][1]);
+    }
 }
 
 /**
@@ -196,12 +227,7 @@ matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
                         _mm256_add_pd(acc[ii][1], _mm256_mul_pd(av, b1));
                 }
             }
-            for (size_t ii = 0; ii < 4; ++ii) {
-                const Epilogue row = ep.at(i0 + ii, 0, ldc);
-                double* crow = c + (i0 + ii) * ldc;
-                store256(acc[ii][0], crow + j0, row, j0);
-                store256(acc[ii][1], crow + j0 + 4, row, j0 + 4);
-            }
+            storeTile256(acc, c + i0 * ldc + j0, ldc, ep, i0, j0);
         }
         for (; j0 < n; ++j0) {
             for (size_t ii = 0; ii < 4; ++ii) {
@@ -216,22 +242,19 @@ matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
     }
     for (; i0 < m; ++i0) {
         const double* arow = a + i0 * lda;
-        const Epilogue row = ep.at(i0, 0, ldc);
         double* crow = c + i0 * ldc;
         size_t j0 = 0;
         for (; j0 + 8 <= n; j0 += 8) {
-            __m256d acc0 = _mm256_setzero_pd();
-            __m256d acc1 = _mm256_setzero_pd();
+            __m256d acc[1][2] = {{_mm256_setzero_pd(), _mm256_setzero_pd()}};
             for (size_t kk = 0; kk < k; ++kk) {
                 const double* brow = b + kk * ldb + j0;
                 const __m256d av = _mm256_set1_pd(arow[kk]);
-                acc0 = _mm256_add_pd(
-                    acc0, _mm256_mul_pd(av, _mm256_loadu_pd(brow)));
-                acc1 = _mm256_add_pd(
-                    acc1, _mm256_mul_pd(av, _mm256_loadu_pd(brow + 4)));
+                acc[0][0] = _mm256_add_pd(
+                    acc[0][0], _mm256_mul_pd(av, _mm256_loadu_pd(brow)));
+                acc[0][1] = _mm256_add_pd(
+                    acc[0][1], _mm256_mul_pd(av, _mm256_loadu_pd(brow + 4)));
             }
-            store256(acc0, crow + j0, row, j0);
-            store256(acc1, crow + j0 + 4, row, j0 + 4);
+            storeTile256(acc, crow + j0, ldc, ep, i0, j0);
         }
         for (; j0 < n; ++j0) {
             double acc = 0.0;
@@ -249,25 +272,52 @@ matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-/** AVX-512 store of one 8-wide accumulator: store256's epilogue. */
+/** AVX-512 epilogue and store of a 4-row x 16-column tile (two ZMM
+ *  accumulators per row): storeTile256's ops, eight lanes wide. */
 __attribute__((target("avx512f"), always_inline)) inline void
-store512(__m512d v, double* cp, const Epilogue& ep, size_t j)
+storeTile512(__m512d (&acc)[4][2], double* c, size_t ldc, const Epilogue& ep,
+             size_t i, size_t j)
 {
     if (ep.bias != nullptr) {
-        v = _mm512_add_pd(v, _mm512_loadu_pd(ep.bias + j));
+        const __m512d b0 = _mm512_loadu_pd(ep.bias + j);
+        const __m512d b1 = _mm512_loadu_pd(ep.bias + j + 8);
+        for (size_t ii = 0; ii < 4; ++ii) {
+            acc[ii][0] = _mm512_add_pd(acc[ii][0], b0);
+            acc[ii][1] = _mm512_add_pd(acc[ii][1], b1);
+        }
     }
     if (ep.accumulate) {
-        v = _mm512_add_pd(_mm512_loadu_pd(cp), v);
+        for (size_t ii = 0; ii < 4; ++ii) {
+            for (size_t h = 0; h < 2; ++h) {
+                acc[ii][h] = _mm512_add_pd(
+                    _mm512_loadu_pd(c + ii * ldc + 8 * h), acc[ii][h]);
+            }
+        }
     }
     if (ep.relu) {
-        v = _mm512_max_pd(v, _mm512_setzero_pd());
+        const __m512d zero = _mm512_setzero_pd();
+        for (size_t ii = 0; ii < 4; ++ii) {
+            acc[ii][0] = _mm512_max_pd(acc[ii][0], zero);
+            acc[ii][1] = _mm512_max_pd(acc[ii][1], zero);
+        }
     }
     if (ep.mask != nullptr) {
-        const __mmask8 gt = _mm512_cmp_pd_mask(
-            _mm512_loadu_pd(ep.mask + j), _mm512_setzero_pd(), _CMP_GT_OQ);
-        v = _mm512_mul_pd(v, _mm512_maskz_mov_pd(gt, _mm512_set1_pd(1.0)));
+        const __m512d one = _mm512_set1_pd(1.0);
+        for (size_t ii = 0; ii < 4; ++ii) {
+            const double* mrow = ep.mask + (i + ii) * ldc + j;
+            for (size_t h = 0; h < 2; ++h) {
+                const __mmask8 gt =
+                    _mm512_cmp_pd_mask(_mm512_loadu_pd(mrow + 8 * h),
+                                       _mm512_setzero_pd(), _CMP_GT_OQ);
+                acc[ii][h] =
+                    _mm512_mul_pd(acc[ii][h], _mm512_maskz_mov_pd(gt, one));
+            }
+        }
     }
-    _mm512_storeu_pd(cp, v);
+    for (size_t ii = 0; ii < 4; ++ii) {
+        _mm512_storeu_pd(c + ii * ldc, acc[ii][0]);
+        _mm512_storeu_pd(c + ii * ldc + 8, acc[ii][1]);
+    }
 }
 
 /**
@@ -302,12 +352,7 @@ matmulAvx512(const double* a, size_t m, size_t k, size_t lda,
                         _mm512_add_pd(acc[ii][1], _mm512_mul_pd(av, b1));
                 }
             }
-            for (size_t ii = 0; ii < 4; ++ii) {
-                const Epilogue row = ep.at(i0 + ii, 0, ldc);
-                double* crow = c + (i0 + ii) * ldc;
-                store512(acc[ii][0], crow + j0, row, j0);
-                store512(acc[ii][1], crow + j0 + 8, row, j0 + 8);
-            }
+            storeTile512(acc, c + i0 * ldc + j0, ldc, ep, i0, j0);
         }
         if (j0 < n) {
             // Column remainder: defer to the AVX2 path on the same rows.
@@ -1642,7 +1687,7 @@ kernelTiers()
 {
     return {pickedKernel().tier, pickedKernelNT().tier,
             pickedKernelTNAcc().tier, pickedKernelTNSeg().tier,
-            attentionCoreTier(), adamTier()};
+            adamTier()};
 }
 
 size_t

@@ -149,8 +149,7 @@ struct KernelTiers
     const char* matmul_nt;
     const char* matmul_tn_acc;
     const char* matmul_tn_seg;
-    const char* attention_core; ///< nnkernel::attentionCoreForward/Backward
-    const char* adam;           ///< Adam::stepClipped's update pass
+    const char* adam; ///< Adam::stepClipped's update pass
 };
 KernelTiers kernelTiers();
 

@@ -1,8 +1,5 @@
 #include "nn/workspace.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "support/logging.hpp"
 
 namespace pruner {
@@ -12,7 +9,6 @@ Workspace::reset()
 {
     next_mat_ = 0;
     next_seg_ = 0;
-    next_map_ = 0;
 }
 
 Matrix&
@@ -43,17 +39,6 @@ Workspace::allocSegments()
     SegmentTable& s = *segs_[next_seg_++];
     s.reset();
     return s;
-}
-
-RowMap&
-Workspace::allocRowMap()
-{
-    if (next_map_ == maps_.size()) {
-        maps_.push_back(std::make_unique<RowMap>());
-    }
-    RowMap& m = *maps_[next_map_++];
-    m.clear();
-    return m;
 }
 
 size_t
@@ -115,55 +100,6 @@ segmentColSum(const Matrix& x, const SegmentTable& segs, Matrix& out)
     for (size_t s = 0; s < segs.count(); ++s) {
         addRowSums(x, segs.begin(s), segs.rows(s), out.row(s),
                    /*partial=*/false);
-    }
-}
-
-bool
-compactZeroRows(const Matrix& x, Matrix& compact, RowMap& map)
-{
-    const size_t cols = x.cols();
-    auto is_zero = [&](size_t r) {
-        const double* row = x.row(r);
-        for (size_t c = 0; c < cols; ++c) {
-            uint64_t bits;
-            std::memcpy(&bits, &row[c], sizeof(bits));
-            if (bits != 0) {
-                return false;
-            }
-        }
-        return true;
-    };
-    // First pass: number the non-zero rows, marking zero rows.
-    constexpr uint32_t kZero = UINT32_MAX;
-    PRUNER_CHECK(x.rows() < kZero);
-    map.resize(x.rows());
-    size_t nonzero = 0;
-    for (size_t r = 0; r < x.rows(); ++r) {
-        map[r] = is_zero(r) ? kZero : static_cast<uint32_t>(nonzero++);
-    }
-    if (x.rows() - nonzero < 2) {
-        map.clear();
-        return false;
-    }
-    compact.resize(nonzero + 1, cols);
-    for (size_t r = 0; r < x.rows(); ++r) {
-        if (map[r] == kZero) {
-            map[r] = static_cast<uint32_t>(nonzero);
-        } else {
-            std::memcpy(compact.row(map[r]), x.row(r), cols * sizeof(double));
-        }
-    }
-    std::fill(compact.row(nonzero), compact.row(nonzero) + cols, 0.0);
-    return true;
-}
-
-void
-expandRows(const Matrix& compact, const RowMap& map, Matrix& full)
-{
-    const size_t cols = compact.cols();
-    full.resize(map.size(), cols);
-    for (size_t r = 0; r < map.size(); ++r) {
-        std::memcpy(full.row(r), compact.row(map[r]), cols * sizeof(double));
     }
 }
 

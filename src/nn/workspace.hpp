@@ -17,7 +17,6 @@
  * threadLocalWorkspace()), never across threads.
  */
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -86,10 +85,6 @@ class SegmentTable
     size_t aliases_ = 0;
 };
 
-/** Source row, in a compacted pack, of every row of the full pack (see
- *  compactZeroRows). */
-using RowMap = std::vector<uint32_t>;
-
 /** Arena of reusable inference buffers (see file comment). */
 class Workspace
 {
@@ -110,9 +105,6 @@ class Workspace
     /** Next segment table, reset to zero segments. */
     SegmentTable& allocSegments();
 
-    /** Next row map, emptied. */
-    RowMap& allocRowMap();
-
     /** Buffers ever created (growth events; a steady-state pass leaves
      *  this unchanged — the workspace-reuse regression tests key on it). */
     size_t matrixBuffers() const { return mats_.size(); }
@@ -124,10 +116,8 @@ class Workspace
   private:
     std::vector<std::unique_ptr<Matrix>> mats_;
     std::vector<std::unique_ptr<SegmentTable>> segs_;
-    std::vector<std::unique_ptr<RowMap>> maps_;
     size_t next_mat_ = 0;
     size_t next_seg_ = 0;
-    size_t next_map_ = 0;
 };
 
 /** Per-thread workspace for the model predict() hot path: reentrant across
@@ -155,23 +145,6 @@ void segmentColSum(const Matrix& x, const SegmentTable& segs, Matrix& out);
 /** Per-segment column means (empty segments yield zero rows), byte-equal
  *  to per-candidate colMean(). */
 void segmentColMean(const Matrix& x, const SegmentTable& segs, Matrix& out);
-
-/**
- * Zero-row compaction for row-independent layers. Rows of @p x whose
- * every bit is zero (the zero-padding steps of short dataflow chains) all
- * map to ONE all-zero row of @p compact, placed after the non-zero rows
- * (kept in order); @p map receives each x row's row in @p compact.
- * Linear/Mlp/projection outputs are row-independent, so running them on
- * @p compact and expanding the result (expandRows) gives the full pack's
- * bytes while the zero rows are computed once. Returns false, leaving
- * @p compact untouched and @p map empty, when x has fewer than two zero
- * rows (nothing to save).
- */
-bool compactZeroRows(const Matrix& x, Matrix& compact, RowMap& map);
-
-/** full.row(r) = compact.row(map[r]) for every r; @p full is resized to
- *  [map.size(), compact.cols()]. */
-void expandRows(const Matrix& compact, const RowMap& map, Matrix& full);
 
 /**
  * Pooling backward for the batched trainer: every row of segment i in

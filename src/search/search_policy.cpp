@@ -61,7 +61,6 @@ exportKernelTiers(obs::MetricsRegistry& metrics)
     metrics.setLabel("nn_kernel_matmul_nt", tiers.matmul_nt, ch);
     metrics.setLabel("nn_kernel_matmul_tn_acc", tiers.matmul_tn_acc, ch);
     metrics.setLabel("nn_kernel_matmul_tn_seg", tiers.matmul_tn_seg, ch);
-    metrics.setLabel("nn_kernel_attention_core", tiers.attention_core, ch);
     metrics.setLabel("nn_kernel_adam", tiers.adam, ch);
     // CPU-supported tiers the startup self-check rejected. Zero on a
     // healthy host; nonzero means a vector kernel broke its byte-identity

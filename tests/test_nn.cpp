@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "nn/attention.hpp"
-#include "nn/attention_core.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/matrix.hpp"
@@ -417,151 +416,6 @@ bool
 sameBits(const double* a, const double* b, size_t n)
 {
     return std::memcmp(a, b, n * sizeof(double)) == 0;
-}
-
-TEST(AttentionCore, FusedMatchesComposedBitwise)
-{
-    // The dispatched core (the fused tier on AVX-512 hosts for t <= 16,
-    // the composed path beyond) against the composed path, forward and
-    // backward, at every block length the fused tier has plus two longer
-    // ones, on plain, zero-laced (+0.0 and -0.0) and tied inputs.
-    constexpr size_t d = nnkernel::kAttentionCoreDim;
-    const double scale = 1.0 / std::sqrt(static_cast<double>(d));
-    Rng rng(331);
-    for (size_t t = 1; t <= 18; ++t) {
-        for (int variant = 0; variant < 3; ++variant) {
-            Matrix q = Matrix::randn(t, d, rng, 1.0);
-            Matrix k = Matrix::randn(t, d, rng, 1.0);
-            const Matrix v = Matrix::randn(t, d, rng, 1.0);
-            Matrix dctx = Matrix::randn(t, d, rng, 1.0);
-            if (variant == 1) {
-                // Zero-laced: the zero-skip paths, and -0.0 entries.
-                for (size_t e = 0; e < t * d; e += 3) {
-                    q.data()[e] = e % 2 == 0 ? 0.0 : -0.0;
-                    dctx.data()[(e + 1) % (t * d)] = -0.0;
-                }
-            } else if (variant == 2) {
-                // Ties: every K row equal gives equal scores per row, and
-                // an all-zero Q row gives an all-zero score row.
-                for (size_t r = 1; r < t; ++r) {
-                    std::memcpy(k.row(r), k.row(0), d * sizeof(double));
-                }
-                std::fill(q.row(0), q.row(0) + d, 0.0);
-            }
-            std::vector<double> attn[2], ctx[2], dq[2], dk[2], dv[2];
-            for (int s = 0; s < 2; ++s) {
-                attn[s].assign(t * t, 7.0);
-                ctx[s].assign(t * d, 7.0);
-                dq[s].assign(t * d, 7.0);
-                dk[s].assign(t * d, 7.0);
-                dv[s].assign(t * d, 7.0);
-            }
-            std::vector<double> scratch(t * t);
-            nnkernel::attentionCoreForward(q.row(0), k.row(0), v.row(0), t,
-                                           d, scale, attn[0].data(),
-                                           ctx[0].data());
-            nnkernel::attentionCoreForwardComposed(
-                q.row(0), k.row(0), v.row(0), t, d, scale, attn[1].data(),
-                ctx[1].data());
-            nnkernel::attentionCoreBackward(
-                attn[0].data(), dctx.row(0), q.row(0), k.row(0), v.row(0),
-                t, d, scale, scratch.data(), dq[0].data(), dk[0].data(),
-                dv[0].data());
-            nnkernel::attentionCoreBackwardComposed(
-                attn[1].data(), dctx.row(0), q.row(0), k.row(0), v.row(0),
-                t, d, scale, scratch.data(), dq[1].data(), dk[1].data(),
-                dv[1].data());
-            EXPECT_TRUE(sameBits(attn[0].data(), attn[1].data(), t * t))
-                << "softmax block diverged at t=" << t << " variant "
-                << variant;
-            EXPECT_TRUE(sameBits(ctx[0].data(), ctx[1].data(), t * d))
-                << "ctx diverged at t=" << t << " variant " << variant;
-            EXPECT_TRUE(sameBits(dq[0].data(), dq[1].data(), t * d))
-                << "dQ diverged at t=" << t << " variant " << variant;
-            EXPECT_TRUE(sameBits(dk[0].data(), dk[1].data(), t * d))
-                << "dK diverged at t=" << t << " variant " << variant;
-            EXPECT_TRUE(sameBits(dv[0].data(), dv[1].data(), t * d))
-                << "dV diverged at t=" << t << " variant " << variant;
-        }
-    }
-    const std::string tier = nnkernel::attentionCoreTier();
-    EXPECT_TRUE(tier == "avx512" || tier == "composed") << tier;
-}
-
-TEST(AttentionCore, AliasedInferenceMatchesReferenceAtModelWidth)
-{
-    // Model-width (d = 64) blocks of the fused tier's lengths, one of them
-    // aliased: every candidate's pooled output must equal the frozen
-    // per-segment inferReference bit for bit.
-    constexpr size_t d = nnkernel::kAttentionCoreDim;
-    Rng rng(337);
-    SelfAttention attn(d, rng);
-    const Matrix a = Matrix::randn(10, d, rng, 0.8);
-    const Matrix b = Matrix::randn(16, d, rng, 0.8);
-    const Matrix c = Matrix::randn(3, d, rng, 0.8);
-    Matrix pack(0, d);
-    SegmentTable segs;
-    for (const Matrix* m : {&a, &b, &c}) {
-        pack.appendRows(*m, 0, m->rows());
-        segs.append(m->rows());
-    }
-    segs.appendAlias(0, 10); // a duplicate of the first block
-    Workspace ws;
-    const Matrix& ctx = attn.inferBatch(pack, segs, ws);
-    Matrix pooled;
-    segmentColMean(ctx, segs, pooled);
-    size_t s = 0;
-    for (const Matrix* m : {&a, &b, &c, &a}) {
-        const Matrix ref = attn.inferReference(*m).colMean();
-        EXPECT_TRUE(sameBits(pooled.row(s), ref.row(0), d))
-            << "segment " << s << " diverged from inferReference";
-        ++s;
-    }
-}
-
-TEST(ZeroRowCompaction, CompactedLayersMatchFullPackBitwise)
-{
-    // Zero-padding rows computed once: an Mlp and the attention Q/K/V
-    // projections over the compacted pack, expanded, must give the full
-    // pack's bytes. A -0.0 row is not a zero row (bitwise equality).
-    constexpr size_t d = nnkernel::kAttentionCoreDim;
-    Rng rng(359);
-    Matrix pack = Matrix::randn(30, 23, rng, 1.0);
-    for (const size_t r : {3, 4, 5, 13, 14, 27, 28, 29}) {
-        std::fill(pack.row(r), pack.row(r) + 23, 0.0);
-    }
-    std::fill(pack.row(20), pack.row(20) + 23, -0.0);
-    SegmentTable segs;
-    for (int s = 0; s < 3; ++s) {
-        segs.append(10);
-    }
-    Matrix compact;
-    RowMap rows;
-    ASSERT_TRUE(compactZeroRows(pack, compact, rows));
-    EXPECT_EQ(compact.rows(), 30u - 8u + 1u);
-    Matrix round_trip;
-    expandRows(compact, rows, round_trip);
-    EXPECT_TRUE(sameBits(round_trip.row(0), pack.row(0), pack.size()));
-
-    Mlp embed({23, d, d}, rng);
-    SelfAttention attn(d, rng);
-    Workspace ws_full, ws_compact;
-    const Matrix& emb_full = embed.inferBatch(pack, ws_full);
-    const Matrix& ctx_full = attn.inferBatch(emb_full, segs, ws_full);
-    const Matrix& emb_compact = embed.inferBatch(compact, ws_compact);
-    const Matrix& ctx_compact =
-        attn.inferBatch(emb_compact, segs, ws_compact, &rows);
-    ASSERT_EQ(ctx_compact.rows(), ctx_full.rows());
-    EXPECT_TRUE(sameBits(ctx_compact.row(0), ctx_full.row(0),
-                         ctx_full.size()));
-
-    // Nothing to save: fewer than two zero rows.
-    Matrix dense = Matrix::randn(4, 23, rng, 1.0);
-    std::fill(dense.row(1), dense.row(1) + 23, 0.0);
-    Matrix untouched;
-    RowMap no_rows;
-    EXPECT_FALSE(compactZeroRows(dense, untouched, no_rows));
-    EXPECT_TRUE(no_rows.empty());
 }
 
 TEST(Matrix, MatmulAccumulateAndMaskEpilogueBitwise)
