@@ -139,15 +139,7 @@ class RollerPolicy : public SearchPolicy
             }
         }
 
-        result.best_per_task.reserve(workload.tasks.size());
-        for (const auto& inst : workload.tasks) {
-            result.best_per_task.push_back(db.bestLatency(inst.task));
-        }
-        result.final_latency = workloadBest(workload, db);
-        result.total_time_s = clock.now();
-        result.exploration_s = clock.total(CostCategory::Exploration);
-        result.measurement_s = clock.total(CostCategory::Measurement);
-        result.compile_s = clock.total(CostCategory::Compile);
+        fillResultTotals(result, workload, db, clock);
         result.trials = measurer.totalTrials();
         result.failed_trials = measurer.failedTrials();
         result.cache_hits = measurer.cacheHits();

@@ -67,6 +67,8 @@ class PrunerPolicy : public SearchPolicy
     const PrunerConfig& config() const { return config_; }
 
   private:
+    class Run; // this policy's TuningRun (pruner_tuner.cpp)
+
     DeviceSpec device_;
     PrunerConfig config_;
     uint64_t model_seed_;

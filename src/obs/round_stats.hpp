@@ -7,8 +7,8 @@
  * instead of end-of-run aggregates, plus the round's draft/verify/measure
  * traffic.
  *
- * Collected by both tuning loops when TuneOptions::collect_round_stats is
- * set and surfaced as TuneResult::round_stats. Everything here is a pure
+ * Collected by TuningRun when TuneOptions::collect_round_stats is set
+ * and surfaced as TuneResult::round_stats. Everything here is a pure
  * function of the tuning trajectory (sim-clock deltas, measurer counter
  * deltas), so round stats are byte-identical at any worker count, like
  * every other deterministic output of the repo.

@@ -260,10 +260,8 @@ buildCheckpoint(const CheckpointSources& src)
             src.clock->total(static_cast<CostCategory>(c));
     }
     cp.rng = src.rng->state();
-    if (src.model != nullptr) {
-        cp.has_model = true;
-        cp.model_params = src.model->getParams();
-    }
+    cp.has_model = true;
+    cp.model_params = src.model->getParams();
     if (src.model_rng != nullptr) {
         cp.has_model_rng = true;
         cp.model_rng = src.model_rng->state();
@@ -281,18 +279,10 @@ buildCheckpoint(const CheckpointSources& src)
     if (src.cache != nullptr) {
         cp.cache_entries = src.cache->exportEntries();
     }
-    if (src.curve != nullptr) {
-        cp.curve = *src.curve;
-    }
-    if (src.round_stats != nullptr) {
-        cp.round_stats = *src.round_stats;
-    }
-    if (src.metrics != nullptr) {
-        cp.metrics = src.metrics->snapshot();
-    }
-    if (src.explorer != nullptr) {
-        cp.explorer_blob = src.explorer->serializeState();
-    }
+    cp.curve = *src.curve;
+    cp.round_stats = *src.round_stats;
+    cp.metrics = src.metrics->snapshot();
+    cp.explorer_blob = src.explorer->serializeState();
     return cp;
 }
 
@@ -330,10 +320,10 @@ applyCheckpoint(const TuningCheckpoint& cp, const Workload& workload,
     if (targets.cache != nullptr) {
         targets.cache->restoreEntries(cp.cache_entries);
     }
-    if (!cp.explorer_blob.empty() && targets.explorer != nullptr) {
+    if (!cp.explorer_blob.empty()) {
         targets.explorer->restoreState(cp.explorer_blob);
     }
-    if (cp.has_model && targets.model != nullptr) {
+    if (cp.has_model) {
         targets.model->setParams(cp.model_params);
         if (cp.has_model_rng) {
             if (Rng* train_rng = targets.model->trainingRng()) {
@@ -344,15 +334,9 @@ applyCheckpoint(const TuningCheckpoint& cp, const Workload& workload,
     if (cp.has_siamese && targets.moa != nullptr) {
         targets.moa->setSiameseParams(cp.siamese_params);
     }
-    if (targets.metrics != nullptr) {
-        targets.metrics->restore(cp.metrics);
-    }
-    if (targets.round_stats != nullptr) {
-        targets.round_stats->restore(cp.round_stats);
-    }
-    if (targets.curve != nullptr) {
-        *targets.curve = cp.curve;
-    }
+    targets.metrics->restore(cp.metrics);
+    targets.round_stats->restore(cp.round_stats);
+    *targets.curve = cp.curve;
     return cp.next_round;
 }
 

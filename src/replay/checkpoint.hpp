@@ -5,13 +5,13 @@
  * Crash-safe checkpoint/resume for long tuning sessions.
  *
  * Every TuneOptions::checkpoint_interval completed rounds (and after the
- * final round) both tuning loops snapshot the full resumable state — round
- * index, simulated clock, every RNG lineage, task-scheduler history,
- * explorer state, cost-model weights, measured records, measurement cache,
- * curve, round stats and the deterministic metrics channel — into one
- * versioned file. A later run pointed at that file via
- * TuneOptions::resume_from continues the session and produces a TuneResult
- * byte-identical to the uninterrupted run, at any kill point on a
+ * final round) TuningRun (src/search/tuning_run.hpp) snapshots the full
+ * resumable state — round index, simulated clock, every RNG lineage,
+ * task-scheduler history, explorer state, cost-model weights, measured
+ * records, measurement cache, curve, round stats and the deterministic
+ * metrics channel — into one versioned file. A later run pointed at that
+ * file via TuneOptions::resume_from continues the session and produces a
+ * TuneResult byte-identical to the uninterrupted run, at any kill point on a
  * checkpoint boundary and at any worker count (the checkpoint pins the
  * resolved clock_lanes divisor just like session replay does).
  *
@@ -114,9 +114,9 @@ uint64_t checkpointFingerprint(const std::string& replay_factory,
                                const Workload& workload,
                                const TuneOptions& opts);
 
-/** Borrowed views of everything a tuning loop snapshots at a round
+/** Borrowed views of everything a TuningRun snapshots at a round
  *  boundary. buildCheckpoint() assembles the TuningCheckpoint from them;
- *  null members are simply absent from the snapshot. */
+ *  only the members documented as nullable may be null. */
 struct CheckpointSources
 {
     uint64_t fingerprint = 0;
@@ -135,7 +135,7 @@ struct CheckpointSources
      *  on (read after an install() barrier), the front model's otherwise.
      *  Null for models without one. */
     Rng* model_rng = nullptr;
-    /** MoAAdapter::siameseParams() (MoA-Pruner only). */
+    /** MoAAdapter::siameseParams() (MoA-Pruner only; null otherwise). */
     const std::vector<double>* siamese = nullptr;
     const std::vector<CurvePoint>* curve = nullptr;
     const std::vector<obs::RoundStats>* round_stats = nullptr;
@@ -147,8 +147,8 @@ struct CheckpointSources
 TuningCheckpoint buildCheckpoint(const CheckpointSources& src);
 
 /** Mutable counterparts applyCheckpoint() restores into, right after the
- *  loop constructs them and before the first round runs. Null members are
- *  skipped. */
+ *  run constructs them and before the first round runs. cache and moa may
+ *  be null (skipped). */
 struct CheckpointTargets
 {
     SimClock* clock = nullptr;

@@ -185,24 +185,10 @@ struct TuneResult
  *  task has no measurement. */
 double workloadBest(const Workload& workload, const TuningRecordDb& db);
 
-class ThreadPool;
-
-/** Observability plumbing shared by every policy's tune() loop. */
-namespace obs_detail {
-
-/** Publish pool Execution-channel gauges (worker count, jobs, peak queue
- *  depth). No-op when @p pool is null. */
-void exportPoolStats(obs::MetricsRegistry& metrics, const ThreadPool* pool);
-
-/** Publish the dispatched nn kernel tiers as Execution-channel labels. */
-void exportKernelTiers(obs::MetricsRegistry& metrics);
-
-/** Fill TuneResult's counter fields (trials, cache_hits, warm_records,
- *  injected_faults, ...) from the per-run registry snapshot. */
-void fillResultCounters(TuneResult& result,
-                        const obs::MetricsRegistry& metrics);
-
-} // namespace obs_detail
+/** End-of-run fields of @p result that follow from the record DB and the
+ *  clock: best_per_task, final_latency and the per-category totals. */
+void fillResultTotals(TuneResult& result, const Workload& workload,
+                      const TuningRecordDb& db, const SimClock& clock);
 
 /** Abstract workload tuner. */
 class SearchPolicy
@@ -265,18 +251,12 @@ class EvoCostModelPolicy : public SearchPolicy
         replay_config_ = std::move(config);
     }
 
-    CostModel& model() { return *model_; }
-    const DeviceSpec& device() const { return device_; }
-
   protected:
+    class Run; // this policy's TuningRun (search_policy.cpp)
+
     /** Hook: can this policy tune the given task at all? Baselines with
      *  operator-coverage gaps override this (Figure 8's X marks). */
     virtual bool supportsTask(const SubgraphTask& task) const;
-
-    /** Hook: scores candidates; default defers to the cost model. */
-    virtual std::vector<double>
-    scoreCandidates(const SubgraphTask& task,
-                    std::span<const Schedule> candidates) const;
 
     std::string name_;
     DeviceSpec device_;

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/adatune.hpp"
 #include "baselines/ansor.hpp"
 #include "core/pruner_tuner.hpp"
 #include "ir/workload_registry.hpp"
@@ -207,6 +208,76 @@ TEST_F(CheckpointTest, EvoPolicyMidRunResumeIsByteIdentical)
     resume.measure_workers = 4;
     auto resumed_policy = baselines::makeAnsor(dev, 9);
     const TuneResult resumed = resumed_policy->tune(w, resume);
+    EXPECT_EQ(resultSignature(resumed), resultSignature(golden));
+}
+
+TEST_F(CheckpointTest, MoaMidRunResumeIsByteIdentical)
+{
+    const auto dev = DeviceSpec::a100();
+    const Workload w = smallWorkload();
+    PrunerConfig config = smallPrunerConfig();
+    config.use_moa = true;
+    TuneOptions base = baseOptions();
+    base.rounds = 6;
+
+    PrunerPolicy golden_policy(dev, config);
+    const TuneResult golden = golden_policy.tune(w, base);
+
+    // Interval 3 over 6 rounds saves after round 3 (write op 0) and after
+    // the final round (write op 1). Failing op 1 leaves the round-3 state,
+    // so the resumed run crosses MoA's every-other-round training cadence
+    // (round 4 trains) from the Siamese weights the file restores.
+    TuneOptions opts = base;
+    opts.checkpoint_interval = 3;
+    opts.checkpoint_path = kCkptPath;
+    io::IoFaultPlan plan;
+    plan.fault_kind = io::IoFaultKind::NoSpace;
+    plan.fail_ops[0] = 1;
+    io::setIoFaultPlan(plan);
+    PrunerPolicy policy(dev, config);
+    (void)policy.tune(w, opts);
+    io::clearIoFaultPlan();
+    ASSERT_TRUE(fs::exists(kCkptPath));
+
+    for (const int workers : {1, 4}) {
+        TuneOptions resume = base;
+        resume.resume_from = kCkptPath;
+        resume.measure_workers = workers;
+        PrunerPolicy resumed_policy(dev, config);
+        const TuneResult resumed = resumed_policy.tune(w, resume);
+        EXPECT_EQ(resultSignature(resumed), resultSignature(golden))
+            << "workers=" << workers;
+    }
+}
+
+TEST_F(CheckpointTest, AdatuneMidRunResumeIsByteIdentical)
+{
+    // Adatune measures adaptively, one task at a time, instead of through
+    // the pooled round pass.
+    const auto dev = DeviceSpec::a100();
+    const Workload w = smallWorkload();
+
+    auto golden_policy = baselines::makeAdatune(dev, 9);
+    const TuneResult golden = golden_policy->tune(w, baseOptions());
+
+    TuneOptions opts = baseOptions();
+    opts.checkpoint_interval = 2;
+    opts.checkpoint_path = kCkptPath;
+    io::IoFaultPlan plan;
+    plan.fault_kind = io::IoFaultKind::NoSpace;
+    plan.fail_ops[0] = 1;
+    io::setIoFaultPlan(plan);
+    auto policy = baselines::makeAdatune(dev, 9);
+    (void)policy->tune(w, opts);
+    io::clearIoFaultPlan();
+    ASSERT_TRUE(fs::exists(kCkptPath));
+
+    TuneOptions resume = baseOptions();
+    resume.resume_from = kCkptPath;
+    resume.measure_workers = 4;
+    auto resumed_policy = baselines::makeAdatune(dev, 9);
+    const TuneResult resumed = resumed_policy->tune(w, resume);
+    EXPECT_FALSE(resumed.failed);
     EXPECT_EQ(resultSignature(resumed), resultSignature(golden));
 }
 

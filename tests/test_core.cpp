@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <limits>
 
 #include "baselines/ansor.hpp"
 #include "core/latent_explorer.hpp"
@@ -257,6 +259,38 @@ TEST_F(PrunerPolicyTest, PretrainedWeightsAreLoaded)
     config.pretrained = donor.model().getParams();
     PrunerPolicy recipient(dev_, config, /*model_seed=*/0xD1FF);
     EXPECT_EQ(recipient.model().getParams(), config.pretrained);
+}
+
+TEST_F(PrunerPolicyTest, DivergedModelFailsAndIsNotPersisted)
+{
+    // All-NaN weights make every PaCM score NaN, so the verify sort sees
+    // candidates that all compare equal (still a valid ordering).
+    PrunerConfig config;
+    config.lse.spec_size = 64;
+    PrunerPolicy donor(dev_, config);
+    config.pretrained.assign(donor.model().getParams().size(),
+                             std::numeric_limits<double>::quiet_NaN());
+    PrunerPolicy policy(dev_, config);
+
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        "pruner_test_core_diverged_db";
+    std::filesystem::remove_all(dir);
+    TuneOptions opts = quickOptions();
+    opts.rounds = 1;
+    opts.artifact_db_path = dir.string();
+    opts.reuse_model_checkpoint = true;
+    const TuneResult r = policy.tune(smallWorkload(), opts);
+    EXPECT_TRUE(r.failed);
+    EXPECT_EQ(r.failure_reason, "cost model diverged");
+
+    // The diverged model must not be stored for the next warm start. A
+    // NaN checkpoint would not even load back, so look for the file
+    // itself (<root>/models/<key>.params).
+    const std::filesystem::path models = dir / "models";
+    EXPECT_TRUE(!std::filesystem::exists(models) ||
+                std::filesystem::is_empty(models));
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace
