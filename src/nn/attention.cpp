@@ -66,9 +66,10 @@ attentionCoreBackward(const double* attn, const double* dctx,
 {
     // dA = dctx V^T (reference: Matrix::matmulNT).
     nnkernel::matmulNT(dctx, t, d, d, v, t, d, dattn, t);
-    // dV = A^T dctx (reference: Matrix::matmulTN from a zero matrix).
+    // dV = A^T dctx (reference: Matrix::matmulTN from a zero matrix): one
+    // t-row segment on a zeroed C.
     std::fill(dv, dv + t * d, 0.0);
-    nnkernel::matmulTNAcc(attn, t, t, t, dctx, d, d, dv, d);
+    nnkernel::matmulTNSegBlocked(attn, t, dctx, d, &t, 1, t, d, dv, d);
     // Softmax backward per row: dS = A .* (dA - rowsum(dA .* A)).
     for (size_t i = 0; i < t; ++i) {
         const double* arow = attn + i * t;
@@ -88,7 +89,7 @@ attentionCoreBackward(const double* attn, const double* dctx,
     nnkernel::matmul(dattn, t, t, t, k, d, d, dq, d);
     // dK = dS^T Q (reference: Matrix::matmulTN from a zero matrix).
     std::fill(dk, dk + t * d, 0.0);
-    nnkernel::matmulTNAcc(dattn, t, t, t, q, d, d, dk, d);
+    nnkernel::matmulTNSegBlocked(dattn, t, q, d, &t, 1, t, d, dk, d);
 }
 
 } // namespace

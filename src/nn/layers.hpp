@@ -68,10 +68,11 @@ class Linear
      * accumulate one per-segment partial at a time, added in ascending
      * segment order — byte-identical to running the per-record
      * `backward()` (matmulTN + colSum, then add) for each segment in
-     * turn, because the partial reuses the exact accumulation order of
-     * those ops (nnkernel::matmulTNAcc). dL/dX comes back as a single NT
-     * GEMM over the whole pack (row-independent, so also byte-identical
-     * per row). @p x must be the forward input pack; pass
+     * turn, because each partial reuses the exact accumulation order of
+     * those ops (dW: one nnkernel::matmulTNSegBlocked call over the whole
+     * pack). dL/dX comes back as a single GEMM over the whole pack on an
+     * explicit W^T (row-independent, so also byte-identical per row).
+     * @p x must be the forward input pack; pass
      * `need_dx = false` for the first layer to skip the dX GEMM (returns
      * nullptr). Intermediates live in @p ws; zero heap allocations once
      * the workspace is warm.

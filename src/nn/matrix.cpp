@@ -7,7 +7,9 @@
 #include <cstring>
 #include <limits>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+// The vector tiers are compiled under GCC target pragmas (see "Vector
+// tiers" below); other compilers get the scalar tiers.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define PRUNER_NNKERNEL_X86 1
 #include <immintrin.h>
 #endif
@@ -136,1184 +138,329 @@ matmulScalarTile(const double* a, size_t m, size_t k, size_t lda,
     }
 }
 
+using MatmulFn = void (*)(const double*, size_t, size_t, size_t,
+                          const double*, size_t, size_t, double*, size_t,
+                          const Epilogue&);
+using MatmulNTFn = void (*)(const double*, size_t, size_t, size_t,
+                            const double*, size_t, size_t, double*, size_t);
+using MatmulTNSegFn = void (*)(const double*, size_t, const double*,
+                               size_t, const size_t*, size_t, size_t,
+                               size_t, double*, size_t);
+
+/** Each kernel's vector tiers: {8 lanes, 4 lanes}. */
+template <class Fn>
+struct LaneTiers
+{
+    Fn lanes8;
+    Fn lanes4;
+};
+
 #ifdef PRUNER_NNKERNEL_X86
 
-/**
- * AVX2 epilogue and store of @p rows x 2 four-wide accumulators, row ii
- * at C row pointer c + ii * ldc, columns [j, j + 8) of the block whose
- * epilogue is @p ep. Each op of the scalar epilogue (see Epilogue) runs
- * over the whole tile under one branch. vmaxpd(v, +0.0) is +0.0 for
- * v <= 0 and for NaN, and the compare-and-mask builds the exact
- * 1.0 / +0.0 factor — bitwise the scalar epilogue.
+/*
+ * Vector tiers. Each kernel's vector code is written once, in
+ * matrix_lanes.inc, over a lane trait `L` (load, store, zero, splat, add,
+ * mul, the epilogue's relu and mask factor, and the NT B-panel transpose),
+ * and compiled at 4 lanes in an "avx2" target region, at 8 lanes in an
+ * "avx512f" one, and at 1 lane for the column tails. The vector traits
+ * are explicit _mm256_* / _mm512_* intrinsics with separate mul and add
+ * (no FMA), so every element keeps the scalar mul-round-add-round chain;
+ * the byte-identity self-checks below hold each tier to its reference.
+ * GCC vector extensions and <experimental/simd> were measured slower or
+ * narrower (docs/KERNELS.md).
  */
-template <size_t rows>
-__attribute__((target("avx2"), always_inline)) inline void
-storeTile256(__m256d (&acc)[rows][2], double* c, size_t ldc,
-             const Epilogue& ep, size_t i, size_t j)
+
+namespace lanes1 {
+
+/** The 1-lane (scalar) trait: the vector tiers' column tails, with the
+ *  vector tiles' row blocking, so each tail still runs several
+ *  independent accumulator chains. Compiled for the baseline ISA. */
+struct L
 {
-    if (ep.bias != nullptr) {
-        const __m256d b0 = _mm256_loadu_pd(ep.bias + j);
-        const __m256d b1 = _mm256_loadu_pd(ep.bias + j + 4);
-        for (size_t ii = 0; ii < rows; ++ii) {
-            acc[ii][0] = _mm256_add_pd(acc[ii][0], b0);
-            acc[ii][1] = _mm256_add_pd(acc[ii][1], b1);
+    using V = double;
+    static constexpr size_t kLanes = 1;
+    static constexpr size_t kSegRows = 4;
+
+    static V load(const double* p) { return *p; }
+    static void store(double* p, V v) { *p = v; }
+    static V zero() { return 0.0; }
+    static V splat(double x) { return x; }
+    static V add(V x, V y) { return x + y; }
+    static V mul(V x, V y) { return x * y; }
+    static V relu(V v) { return v > 0.0 ? v : 0.0; }
+    static V positiveOnes(V m) { return m > 0.0 ? 1.0 : 0.0; }
+    static void
+    transpose4(const double* const* rows, size_t kk, V (&out)[4])
+    {
+        for (size_t s = 0; s < 4; ++s) {
+            out[s] = rows[0][kk + s];
         }
     }
-    if (ep.accumulate) {
-        for (size_t ii = 0; ii < rows; ++ii) {
-            for (size_t h = 0; h < 2; ++h) {
-                acc[ii][h] = _mm256_add_pd(
-                    _mm256_loadu_pd(c + ii * ldc + 4 * h), acc[ii][h]);
+    static V
+    gather(const double* const* rows, size_t kk)
+    {
+        return rows[0][kk];
+    }
+};
+
+#include "nn/matrix_lanes.inc"
+
+} // namespace lanes1
+
+/** matmul()'s last odd column after the 1-lane panels: one scalar
+ *  accumulator per element over ascending k, then the scalar epilogue. */
+void
+matmulColumns(const double* a, size_t m, size_t k, size_t lda,
+              const double* b, size_t n, size_t ldb, double* c, size_t ldc,
+              const Epilogue& ep)
+{
+    for (size_t i = 0; i < m; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (size_t kk = 0; kk < k; ++kk) {
+                acc += a[i * lda + kk] * b[kk * ldb + j];
             }
+            storeRow(&acc, c + i * ldc + j, ep.at(i, j, ldc), 1);
         }
-    }
-    if (ep.relu) {
-        const __m256d zero = _mm256_setzero_pd();
-        for (size_t ii = 0; ii < rows; ++ii) {
-            acc[ii][0] = _mm256_max_pd(acc[ii][0], zero);
-            acc[ii][1] = _mm256_max_pd(acc[ii][1], zero);
-        }
-    }
-    if (ep.mask != nullptr) {
-        const __m256d zero = _mm256_setzero_pd();
-        const __m256d one = _mm256_set1_pd(1.0);
-        for (size_t ii = 0; ii < rows; ++ii) {
-            const double* mrow = ep.mask + (i + ii) * ldc + j;
-            for (size_t h = 0; h < 2; ++h) {
-                const __m256d gt = _mm256_cmp_pd(
-                    _mm256_loadu_pd(mrow + 4 * h), zero, _CMP_GT_OQ);
-                acc[ii][h] =
-                    _mm256_mul_pd(acc[ii][h], _mm256_and_pd(gt, one));
-            }
-        }
-    }
-    for (size_t ii = 0; ii < rows; ++ii) {
-        _mm256_storeu_pd(c + ii * ldc, acc[ii][0]);
-        _mm256_storeu_pd(c + ii * ldc + 4, acc[ii][1]);
     }
 }
 
-/**
- * AVX2 4x8 micro-kernel. Deliberately built from separate _mm256_mul_pd /
- * _mm256_add_pd (the "avx2" target carries no FMA, so the compiler cannot
- * contract them): every C element sees exactly the scalar kernel's
- * mul-round-add-round sequence over ascending k, hence identical bytes at
- * ~3x the scalar tile's throughput. 8 YMM accumulators + 2 B panels + 1
- * broadcast stay within the 16 architectural YMM registers.
- */
-__attribute__((target("avx2"))) void
-matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
-           size_t n, size_t ldb, double* c, size_t ldc, const Epilogue& ep)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+
+/** In-register transpose of four rows' k panels: lane q of out[s] is
+ *  rows[q][kk + s]. */
+[[gnu::always_inline]] inline void
+transpose4x4(const double* const* rows, size_t kk, __m256d (&out)[4])
 {
-    size_t i0 = 0;
-    for (; i0 + 4 <= m; i0 += 4) {
-        const double* a0 = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 8 <= n; j0 += 8) {
-            __m256d acc[4][2];
-            for (size_t ii = 0; ii < 4; ++ii) {
-                acc[ii][0] = _mm256_setzero_pd();
-                acc[ii][1] = _mm256_setzero_pd();
-            }
-            for (size_t kk = 0; kk < k; ++kk) {
-                const double* brow = b + kk * ldb + j0;
-                const __m256d b0 = _mm256_loadu_pd(brow);
-                const __m256d b1 = _mm256_loadu_pd(brow + 4);
-                for (size_t ii = 0; ii < 4; ++ii) {
-                    const __m256d av = _mm256_set1_pd(a0[ii * lda + kk]);
-                    acc[ii][0] =
-                        _mm256_add_pd(acc[ii][0], _mm256_mul_pd(av, b0));
-                    acc[ii][1] =
-                        _mm256_add_pd(acc[ii][1], _mm256_mul_pd(av, b1));
-                }
-            }
-            storeTile256(acc, c + i0 * ldc + j0, ldc, ep, i0, j0);
-        }
-        for (; j0 < n; ++j0) {
-            for (size_t ii = 0; ii < 4; ++ii) {
-                double acc = 0.0;
-                for (size_t kk = 0; kk < k; ++kk) {
-                    acc += a0[ii * lda + kk] * b[kk * ldb + j0];
-                }
-                storeRow(&acc, c + (i0 + ii) * ldc + j0,
-                         ep.at(i0 + ii, j0, ldc), 1);
-            }
-        }
-    }
-    for (; i0 < m; ++i0) {
-        const double* arow = a + i0 * lda;
-        double* crow = c + i0 * ldc;
-        size_t j0 = 0;
-        for (; j0 + 8 <= n; j0 += 8) {
-            __m256d acc[1][2] = {{_mm256_setzero_pd(), _mm256_setzero_pd()}};
-            for (size_t kk = 0; kk < k; ++kk) {
-                const double* brow = b + kk * ldb + j0;
-                const __m256d av = _mm256_set1_pd(arow[kk]);
-                acc[0][0] = _mm256_add_pd(
-                    acc[0][0], _mm256_mul_pd(av, _mm256_loadu_pd(brow)));
-                acc[0][1] = _mm256_add_pd(
-                    acc[0][1], _mm256_mul_pd(av, _mm256_loadu_pd(brow + 4)));
-            }
-            storeTile256(acc, crow + j0, ldc, ep, i0, j0);
-        }
-        for (; j0 < n; ++j0) {
-            double acc = 0.0;
-            for (size_t kk = 0; kk < k; ++kk) {
-                acc += arow[kk] * b[kk * ldb + j0];
-            }
-            storeRow(&acc, crow + j0, ep.at(i0, j0, ldc), 1);
-        }
-    }
+    const __m256d r0 = _mm256_loadu_pd(rows[0] + kk);
+    const __m256d r1 = _mm256_loadu_pd(rows[1] + kk);
+    const __m256d r2 = _mm256_loadu_pd(rows[2] + kk);
+    const __m256d r3 = _mm256_loadu_pd(rows[3] + kk);
+    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
+    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
+    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+    out[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+    out[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+    out[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+    out[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
 }
+
+namespace lanes4 {
+
+/** The 4-lane (AVX2, YMM) trait. 16 YMM registers hold a 4-row
+ *  seg-blocked tile (4 accumulators + 4 partials) but not an 8-row one. */
+struct L
+{
+    using V = __m256d;
+    static constexpr size_t kLanes = 4;
+    static constexpr size_t kSegRows = 4;
+
+    static V load(const double* p) { return _mm256_loadu_pd(p); }
+    static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
+    static V zero() { return _mm256_setzero_pd(); }
+    static V splat(double x) { return _mm256_set1_pd(x); }
+    static V add(V x, V y) { return _mm256_add_pd(x, y); }
+    static V mul(V x, V y) { return _mm256_mul_pd(x, y); }
+    /** v > 0 ? v : +0.0 per lane. */
+    static V relu(V v) { return _mm256_max_pd(v, _mm256_setzero_pd()); }
+    /** m > 0 ? 1.0 : +0.0 per lane (NaN gives +0.0). */
+    static V
+    positiveOnes(V m)
+    {
+        const V gt = _mm256_cmp_pd(m, _mm256_setzero_pd(), _CMP_GT_OQ);
+        return _mm256_and_pd(gt, _mm256_set1_pd(1.0));
+    }
+    /** Lane q of out[s] is rows[q][kk + s], s = 0..3. */
+    static void
+    transpose4(const double* const* rows, size_t kk, V (&out)[4])
+    {
+        transpose4x4(rows, kk, out);
+    }
+    /** Lane q is rows[q][kk]. */
+    static V
+    gather(const double* const* rows, size_t kk)
+    {
+        return _mm256_set_pd(rows[3][kk], rows[2][kk], rows[1][kk],
+                             rows[0][kk]);
+    }
+};
+
+#include "nn/matrix_lanes.inc"
+
+} // namespace lanes4
+
+#pragma GCC pop_options
 
 // GCC implements _mm512_max_pd and the masked moves through masked
 // builtins whose unused pass-through source is _mm512_undefined_pd(),
 // tripping a false-positive -Wmaybe-uninitialized at -O2.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC push_options
+#pragma GCC target("avx512f")
 
-/** AVX-512 epilogue and store of a 4-row x 16-column tile (two ZMM
- *  accumulators per row): storeTile256's ops, eight lanes wide. */
-__attribute__((target("avx512f"), always_inline)) inline void
-storeTile512(__m512d (&acc)[4][2], double* c, size_t ldc, const Epilogue& ep,
-             size_t i, size_t j)
-{
-    if (ep.bias != nullptr) {
-        const __m512d b0 = _mm512_loadu_pd(ep.bias + j);
-        const __m512d b1 = _mm512_loadu_pd(ep.bias + j + 8);
-        for (size_t ii = 0; ii < 4; ++ii) {
-            acc[ii][0] = _mm512_add_pd(acc[ii][0], b0);
-            acc[ii][1] = _mm512_add_pd(acc[ii][1], b1);
-        }
-    }
-    if (ep.accumulate) {
-        for (size_t ii = 0; ii < 4; ++ii) {
-            for (size_t h = 0; h < 2; ++h) {
-                acc[ii][h] = _mm512_add_pd(
-                    _mm512_loadu_pd(c + ii * ldc + 8 * h), acc[ii][h]);
-            }
-        }
-    }
-    if (ep.relu) {
-        const __m512d zero = _mm512_setzero_pd();
-        for (size_t ii = 0; ii < 4; ++ii) {
-            acc[ii][0] = _mm512_max_pd(acc[ii][0], zero);
-            acc[ii][1] = _mm512_max_pd(acc[ii][1], zero);
-        }
-    }
-    if (ep.mask != nullptr) {
-        const __m512d one = _mm512_set1_pd(1.0);
-        for (size_t ii = 0; ii < 4; ++ii) {
-            const double* mrow = ep.mask + (i + ii) * ldc + j;
-            for (size_t h = 0; h < 2; ++h) {
-                const __mmask8 gt =
-                    _mm512_cmp_pd_mask(_mm512_loadu_pd(mrow + 8 * h),
-                                       _mm512_setzero_pd(), _CMP_GT_OQ);
-                acc[ii][h] =
-                    _mm512_mul_pd(acc[ii][h], _mm512_maskz_mov_pd(gt, one));
-            }
-        }
-    }
-    for (size_t ii = 0; ii < 4; ++ii) {
-        _mm512_storeu_pd(c + ii * ldc, acc[ii][0]);
-        _mm512_storeu_pd(c + ii * ldc + 8, acc[ii][1]);
-    }
-}
+namespace lanes8 {
 
-/**
- * AVX-512 4x16 micro-kernel: the widest tier, same separate-mul-then-add
- * contract as the AVX2 kernel ("avx512f" carries FMA in hardware, but the
- * explicit _mm512_mul_pd / _mm512_add_pd intrinsics pin the two roundings).
- */
-__attribute__((target("avx512f"))) void
-matmulAvx512(const double* a, size_t m, size_t k, size_t lda,
-             const double* b, size_t n, size_t ldb, double* c, size_t ldc,
-             const Epilogue& ep)
+/** The 8-lane (AVX-512, ZMM) trait. 32 ZMM registers hold an 8-row
+ *  seg-blocked tile: one shared B vector feeds eight broadcast mul+add
+ *  chains, half the B traffic per flop of a 4-row tile. */
+struct L
 {
-    size_t i0 = 0;
-    for (; i0 + 4 <= m; i0 += 4) {
-        const double* a0 = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 16 <= n; j0 += 16) {
-            __m512d acc[4][2];
-            for (size_t ii = 0; ii < 4; ++ii) {
-                acc[ii][0] = _mm512_setzero_pd();
-                acc[ii][1] = _mm512_setzero_pd();
-            }
-            for (size_t kk = 0; kk < k; ++kk) {
-                const double* brow = b + kk * ldb + j0;
-                const __m512d b0 = _mm512_loadu_pd(brow);
-                const __m512d b1 = _mm512_loadu_pd(brow + 8);
-                for (size_t ii = 0; ii < 4; ++ii) {
-                    const __m512d av = _mm512_set1_pd(a0[ii * lda + kk]);
-                    acc[ii][0] =
-                        _mm512_add_pd(acc[ii][0], _mm512_mul_pd(av, b0));
-                    acc[ii][1] =
-                        _mm512_add_pd(acc[ii][1], _mm512_mul_pd(av, b1));
-                }
-            }
-            storeTile512(acc, c + i0 * ldc + j0, ldc, ep, i0, j0);
-        }
-        if (j0 < n) {
-            // Column remainder: defer to the AVX2 path on the same rows.
-            matmulAvx2(a + i0 * lda, 4, k, lda, b + j0, n - j0, ldb,
-                       c + i0 * ldc + j0, ldc, ep.at(i0, j0, ldc));
+    using V = __m512d;
+    static constexpr size_t kLanes = 8;
+    static constexpr size_t kSegRows = 8;
+
+    static V load(const double* p) { return _mm512_loadu_pd(p); }
+    static void store(double* p, V v) { _mm512_storeu_pd(p, v); }
+    static V zero() { return _mm512_setzero_pd(); }
+    static V splat(double x) { return _mm512_set1_pd(x); }
+    static V add(V x, V y) { return _mm512_add_pd(x, y); }
+    static V mul(V x, V y) { return _mm512_mul_pd(x, y); }
+    /** v > 0 ? v : +0.0 per lane. */
+    static V relu(V v) { return _mm512_max_pd(v, _mm512_setzero_pd()); }
+    /** m > 0 ? 1.0 : +0.0 per lane (NaN gives +0.0). */
+    static V
+    positiveOnes(V m)
+    {
+        const __mmask8 gt =
+            _mm512_cmp_pd_mask(m, _mm512_setzero_pd(), _CMP_GT_OQ);
+        return _mm512_maskz_mov_pd(gt, _mm512_set1_pd(1.0));
+    }
+    /** Lane q of out[s] is rows[q][kk + s], s = 0..3: two 4x4 YMM
+     *  transposes spliced into one ZMM each. */
+    static void
+    transpose4(const double* const* rows, size_t kk, V (&out)[4])
+    {
+        __m256d lo[4];
+        __m256d hi[4];
+        transpose4x4(rows, kk, lo);
+        transpose4x4(rows + 4, kk, hi);
+        for (size_t s = 0; s < 4; ++s) {
+            out[s] = _mm512_insertf64x4(_mm512_castpd256_pd512(lo[s]),
+                                        hi[s], 1);
         }
     }
-    if (i0 < m) {
-        matmulAvx2(a + i0 * lda, m - i0, k, lda, b, n, ldb, c + i0 * ldc,
-                   ldc, ep.at(i0, 0, ldc));
+    /** Lane q is rows[q][kk]. */
+    static V
+    gather(const double* const* rows, size_t kk)
+    {
+        return _mm512_set_pd(rows[7][kk], rows[6][kk], rows[5][kk],
+                             rows[4][kk], rows[3][kk], rows[2][kk],
+                             rows[1][kk], rows[0][kk]);
     }
-}
+};
+
+#include "nn/matrix_lanes.inc"
+
+} // namespace lanes8
+
+#pragma GCC pop_options
 #pragma GCC diagnostic pop
 
-/**
- * AVX2 NT micro-kernel: a 4x4 block of C = A B^T where each output element
- * owns one vector lane accumulating a[i][kk] * b[j][kk] over ascending kk
- * with separate _mm256_mul_pd / _mm256_add_pd roundings — the exact
- * per-element sequence of the naive NT loop, so the bytes match. The four
- * B rows of a j panel are gathered with set_pd (B has no contiguous
- * k-major layout to stream); the win over scalar is four independent
- * accumulator chains per vector instead of one latency-bound chain.
- */
-__attribute__((target("avx2"))) void
-matmulNTAvx2(const double* a, size_t m, size_t k, size_t lda,
+// A vector tier of each kernel: the lane widths' panels in turn, widest
+// first, each starting at the first column the last one left. The 1-lane
+// panels finish every column but matmul's last odd one. Which width
+// computes an element changes none of its bytes.
+
+template <auto... panels>
+void
+matmulTier(const double* a, size_t m, size_t k, size_t lda, const double* b,
+           size_t n, size_t ldb, double* c, size_t ldc, const Epilogue& ep)
+{
+    size_t j = 0;
+    ((j += panels(a, m, k, lda, b + j, n - j, ldb, c + j, ldc,
+                  ep.at(0, j, ldc))),
+     ...);
+    matmulColumns(a, m, k, lda, b + j, n - j, ldb, c + j, ldc,
+                  ep.at(0, j, ldc));
+}
+
+template <auto... panels>
+void
+matmulNTTier(const double* a, size_t m, size_t k, size_t lda,
              const double* b, size_t n, size_t ldb, double* c, size_t ldc)
 {
-    size_t i0 = 0;
-    for (; i0 + 4 <= m; i0 += 4) {
-        const double* a0 = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 4 <= n; j0 += 4) {
-            const double* b0 = b + (j0 + 0) * ldb;
-            const double* b1 = b + (j0 + 1) * ldb;
-            const double* b2 = b + (j0 + 2) * ldb;
-            const double* b3 = b + (j0 + 3) * ldb;
-            __m256d acc0 = _mm256_setzero_pd();
-            __m256d acc1 = _mm256_setzero_pd();
-            __m256d acc2 = _mm256_setzero_pd();
-            __m256d acc3 = _mm256_setzero_pd();
-            size_t kk = 0;
-            // Four k steps per iteration: load the four B rows'
-            // contiguous k panels and transpose them in registers, so
-            // every B scalar arrives via a vector load instead of a
-            // gather. The k steps still apply in ascending order — the
-            // per-element rounding sequence is untouched.
-            for (; kk + 4 <= k; kk += 4) {
-                const __m256d r0 = _mm256_loadu_pd(b0 + kk);
-                const __m256d r1 = _mm256_loadu_pd(b1 + kk);
-                const __m256d r2 = _mm256_loadu_pd(b2 + kk);
-                const __m256d r3 = _mm256_loadu_pd(b3 + kk);
-                const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-                const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-                const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-                const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-                const __m256d bv[4] = {
-                    _mm256_permute2f128_pd(t0, t2, 0x20),
-                    _mm256_permute2f128_pd(t1, t3, 0x20),
-                    _mm256_permute2f128_pd(t0, t2, 0x31),
-                    _mm256_permute2f128_pd(t1, t3, 0x31),
-                };
-                for (size_t q = 0; q < 4; ++q) {
-                    __m256d av = _mm256_set1_pd(a0[0 * lda + kk + q]);
-                    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av, bv[q]));
-                    av = _mm256_set1_pd(a0[1 * lda + kk + q]);
-                    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(av, bv[q]));
-                    av = _mm256_set1_pd(a0[2 * lda + kk + q]);
-                    acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(av, bv[q]));
-                    av = _mm256_set1_pd(a0[3 * lda + kk + q]);
-                    acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(av, bv[q]));
-                }
-            }
-            for (; kk < k; ++kk) {
-                const __m256d bv =
-                    _mm256_set_pd(b3[kk], b2[kk], b1[kk], b0[kk]);
-                __m256d av = _mm256_set1_pd(a0[0 * lda + kk]);
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av, bv));
-                av = _mm256_set1_pd(a0[1 * lda + kk]);
-                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(av, bv));
-                av = _mm256_set1_pd(a0[2 * lda + kk]);
-                acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(av, bv));
-                av = _mm256_set1_pd(a0[3 * lda + kk]);
-                acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(av, bv));
-            }
-            _mm256_storeu_pd(c + (i0 + 0) * ldc + j0, acc0);
-            _mm256_storeu_pd(c + (i0 + 1) * ldc + j0, acc1);
-            _mm256_storeu_pd(c + (i0 + 2) * ldc + j0, acc2);
-            _mm256_storeu_pd(c + (i0 + 3) * ldc + j0, acc3);
-        }
-        for (; j0 < n; ++j0) {
-            const double* brow = b + j0 * ldb;
-            for (size_t ii = 0; ii < 4; ++ii) {
-                const double* arow = a0 + ii * lda;
-                double acc = 0.0;
-                for (size_t kk = 0; kk < k; ++kk) {
-                    acc += arow[kk] * brow[kk];
-                }
-                c[(i0 + ii) * ldc + j0] = acc;
-            }
-        }
-    }
-    if (i0 < m) {
-        matmulNTNaive(a + i0 * lda, m - i0, k, lda, b, n, ldb, c + i0 * ldc,
-                      ldc);
-    }
+    size_t j = 0;
+    ((j += panels(a, m, k, lda, b + j * ldb, n - j, ldb, c + j, ldc)), ...);
 }
 
-/**
- * AVX-512 NT micro-kernel: a 4x8 block of C = A B^T where each output
- * element owns one ZMM lane accumulating a[i][kk] * b[j][kk] over
- * ascending kk with separate _mm512_mul_pd / _mm512_add_pd roundings —
- * the exact per-element sequence of the naive NT loop, so the bytes
- * match. k advances four steps at a time: the eight B rows' contiguous
- * k panels are transposed four-at-a-time in YMM registers (the AVX2
- * kernel's in-register transpose, twice) and the halves spliced into one
- * ZMM with insertf64x4, so every B scalar arrives via a vector load; the
- * k tail gathers with set_pd. Row and column remainders defer to the
- * AVX2 NT kernel (which defers its own row remainder to the naive loop),
- * so accepting this tier requires the AVX2 tier's self-check too.
- */
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx512f"))) void
-matmulNTAvx512(const double* a, size_t m, size_t k, size_t lda,
-               const double* b, size_t n, size_t ldb, double* c, size_t ldc)
+template <auto... panels>
+void
+segBlockedTier(const double* a, size_t lda, const double* b, size_t ldb,
+               const size_t* seg_rows, size_t nsegs, size_t acols,
+               size_t bcols, double* c, size_t ldc)
 {
-    size_t i0 = 0;
-    for (; i0 + 4 <= m; i0 += 4) {
-        const double* a0 = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 8 <= n; j0 += 8) {
-            const double* b0 = b + (j0 + 0) * ldb;
-            const double* b1 = b + (j0 + 1) * ldb;
-            const double* b2 = b + (j0 + 2) * ldb;
-            const double* b3 = b + (j0 + 3) * ldb;
-            const double* b4 = b + (j0 + 4) * ldb;
-            const double* b5 = b + (j0 + 5) * ldb;
-            const double* b6 = b + (j0 + 6) * ldb;
-            const double* b7 = b + (j0 + 7) * ldb;
-            __m512d acc0 = _mm512_setzero_pd();
-            __m512d acc1 = _mm512_setzero_pd();
-            __m512d acc2 = _mm512_setzero_pd();
-            __m512d acc3 = _mm512_setzero_pd();
-            size_t kk = 0;
-            for (; kk + 4 <= k; kk += 4) {
-                const __m256d r0 = _mm256_loadu_pd(b0 + kk);
-                const __m256d r1 = _mm256_loadu_pd(b1 + kk);
-                const __m256d r2 = _mm256_loadu_pd(b2 + kk);
-                const __m256d r3 = _mm256_loadu_pd(b3 + kk);
-                const __m256d r4 = _mm256_loadu_pd(b4 + kk);
-                const __m256d r5 = _mm256_loadu_pd(b5 + kk);
-                const __m256d r6 = _mm256_loadu_pd(b6 + kk);
-                const __m256d r7 = _mm256_loadu_pd(b7 + kk);
-                const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-                const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-                const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-                const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-                const __m256d s0 = _mm256_unpacklo_pd(r4, r5);
-                const __m256d s1 = _mm256_unpackhi_pd(r4, r5);
-                const __m256d s2 = _mm256_unpacklo_pd(r6, r7);
-                const __m256d s3 = _mm256_unpackhi_pd(r6, r7);
-                const __m256d lo[4] = {
-                    _mm256_permute2f128_pd(t0, t2, 0x20),
-                    _mm256_permute2f128_pd(t1, t3, 0x20),
-                    _mm256_permute2f128_pd(t0, t2, 0x31),
-                    _mm256_permute2f128_pd(t1, t3, 0x31),
-                };
-                const __m256d hi[4] = {
-                    _mm256_permute2f128_pd(s0, s2, 0x20),
-                    _mm256_permute2f128_pd(s1, s3, 0x20),
-                    _mm256_permute2f128_pd(s0, s2, 0x31),
-                    _mm256_permute2f128_pd(s1, s3, 0x31),
-                };
-                for (size_t q = 0; q < 4; ++q) {
-                    const __m512d bv = _mm512_insertf64x4(
-                        _mm512_castpd256_pd512(lo[q]), hi[q], 1);
-                    __m512d av = _mm512_set1_pd(a0[0 * lda + kk + q]);
-                    acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(av, bv));
-                    av = _mm512_set1_pd(a0[1 * lda + kk + q]);
-                    acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(av, bv));
-                    av = _mm512_set1_pd(a0[2 * lda + kk + q]);
-                    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(av, bv));
-                    av = _mm512_set1_pd(a0[3 * lda + kk + q]);
-                    acc3 = _mm512_add_pd(acc3, _mm512_mul_pd(av, bv));
-                }
-            }
-            for (; kk < k; ++kk) {
-                const __m512d bv =
-                    _mm512_set_pd(b7[kk], b6[kk], b5[kk], b4[kk], b3[kk],
-                                  b2[kk], b1[kk], b0[kk]);
-                __m512d av = _mm512_set1_pd(a0[0 * lda + kk]);
-                acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(av, bv));
-                av = _mm512_set1_pd(a0[1 * lda + kk]);
-                acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(av, bv));
-                av = _mm512_set1_pd(a0[2 * lda + kk]);
-                acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(av, bv));
-                av = _mm512_set1_pd(a0[3 * lda + kk]);
-                acc3 = _mm512_add_pd(acc3, _mm512_mul_pd(av, bv));
-            }
-            _mm512_storeu_pd(c + (i0 + 0) * ldc + j0, acc0);
-            _mm512_storeu_pd(c + (i0 + 1) * ldc + j0, acc1);
-            _mm512_storeu_pd(c + (i0 + 2) * ldc + j0, acc2);
-            _mm512_storeu_pd(c + (i0 + 3) * ldc + j0, acc3);
-        }
-        if (j0 < n) {
-            // Column remainder: the AVX2 kernel on the same four rows
-            // with the remaining B rows as its whole B.
-            matmulNTAvx2(a0, 4, k, lda, b + j0 * ldb, n - j0, ldb,
-                         c + i0 * ldc + j0, ldc);
-        }
-    }
-    // Row remainder (1-3 rows): keep the 8-wide ZMM panels instead of
-    // falling through the AVX2 kernel into the naive loop. The in-register
-    // B-panel transpose is shared by every remainder row, so its cost
-    // amortizes; each output element still owns one lane accumulating over
-    // ascending kk with separate mul/add roundings.
-    if (i0 < m) {
-        const size_t mr = m - i0;
-        const double* a0 = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 8 <= n; j0 += 8) {
-            const double* brows[8];
-            for (size_t q = 0; q < 8; ++q) {
-                brows[q] = b + (j0 + q) * ldb;
-            }
-            __m512d acc[3] = {_mm512_setzero_pd(), _mm512_setzero_pd(),
-                              _mm512_setzero_pd()};
-            size_t kk = 0;
-            for (; kk + 4 <= k; kk += 4) {
-                const __m256d r0 = _mm256_loadu_pd(brows[0] + kk);
-                const __m256d r1 = _mm256_loadu_pd(brows[1] + kk);
-                const __m256d r2 = _mm256_loadu_pd(brows[2] + kk);
-                const __m256d r3 = _mm256_loadu_pd(brows[3] + kk);
-                const __m256d r4 = _mm256_loadu_pd(brows[4] + kk);
-                const __m256d r5 = _mm256_loadu_pd(brows[5] + kk);
-                const __m256d r6 = _mm256_loadu_pd(brows[6] + kk);
-                const __m256d r7 = _mm256_loadu_pd(brows[7] + kk);
-                const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-                const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-                const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-                const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-                const __m256d s0 = _mm256_unpacklo_pd(r4, r5);
-                const __m256d s1 = _mm256_unpackhi_pd(r4, r5);
-                const __m256d s2 = _mm256_unpacklo_pd(r6, r7);
-                const __m256d s3 = _mm256_unpackhi_pd(r6, r7);
-                const __m256d lo[4] = {
-                    _mm256_permute2f128_pd(t0, t2, 0x20),
-                    _mm256_permute2f128_pd(t1, t3, 0x20),
-                    _mm256_permute2f128_pd(t0, t2, 0x31),
-                    _mm256_permute2f128_pd(t1, t3, 0x31),
-                };
-                const __m256d hi[4] = {
-                    _mm256_permute2f128_pd(s0, s2, 0x20),
-                    _mm256_permute2f128_pd(s1, s3, 0x20),
-                    _mm256_permute2f128_pd(s0, s2, 0x31),
-                    _mm256_permute2f128_pd(s1, s3, 0x31),
-                };
-                for (size_t q = 0; q < 4; ++q) {
-                    const __m512d bv = _mm512_insertf64x4(
-                        _mm512_castpd256_pd512(lo[q]), hi[q], 1);
-                    for (size_t ii = 0; ii < mr; ++ii) {
-                        const __m512d av =
-                            _mm512_set1_pd(a0[ii * lda + kk + q]);
-                        acc[ii] = _mm512_add_pd(acc[ii],
-                                                _mm512_mul_pd(av, bv));
-                    }
-                }
-            }
-            for (; kk < k; ++kk) {
-                const __m512d bv = _mm512_set_pd(
-                    brows[7][kk], brows[6][kk], brows[5][kk], brows[4][kk],
-                    brows[3][kk], brows[2][kk], brows[1][kk], brows[0][kk]);
-                for (size_t ii = 0; ii < mr; ++ii) {
-                    const __m512d av = _mm512_set1_pd(a0[ii * lda + kk]);
-                    acc[ii] =
-                        _mm512_add_pd(acc[ii], _mm512_mul_pd(av, bv));
-                }
-            }
-            for (size_t ii = 0; ii < mr; ++ii) {
-                _mm512_storeu_pd(c + (i0 + ii) * ldc + j0, acc[ii]);
-            }
-        }
-        if (j0 < n) {
-            // Column remainder on the remainder rows: the AVX2 kernel
-            // (whose own m<4 path is the naive loop on these small tails).
-            matmulNTAvx2(a0, mr, k, lda, b + j0 * ldb, n - j0, ldb,
-                         c + i0 * ldc + j0, ldc);
-        }
-    }
-}
-#pragma GCC diagnostic pop
-
-/**
- * AVX2 accumulating TNAcc micro-kernel, blocked 4 rows at a time: each C
- * element loads once, receives its (up to) four terms in ascending row
- * order with separate mul/add roundings, and stores once — a quarter of
- * the naive loop's C traffic, which dominates the per-segment dW
- * partials. Skipped-by-the-naive-loop ±0 terms are added here instead;
- * that is a byte-level no-op because a gradient accumulator chain can
- * never hold -0.0 (see the matmulTNAcc contract).
- */
-__attribute__((target("avx2"))) void
-matmulTNAccAvx2(const double* a, size_t rows, size_t acols, size_t lda,
-                const double* b, size_t bcols, size_t ldb, double* c,
-                size_t ldc)
-{
-    size_t r0 = 0;
-    for (; r0 + 4 <= rows; r0 += 4) {
-        const double* a0 = a + (r0 + 0) * lda;
-        const double* a1 = a + (r0 + 1) * lda;
-        const double* a2 = a + (r0 + 2) * lda;
-        const double* a3 = a + (r0 + 3) * lda;
-        const double* b0 = b + (r0 + 0) * ldb;
-        const double* b1 = b + (r0 + 1) * ldb;
-        const double* b2 = b + (r0 + 2) * ldb;
-        const double* b3 = b + (r0 + 3) * ldb;
-        for (size_t i = 0; i < acols; ++i) {
-            const double a0i = a0[i];
-            const double a1i = a1[i];
-            const double a2i = a2[i];
-            const double a3i = a3[i];
-            if (a0i == 0.0 && a1i == 0.0 && a2i == 0.0 && a3i == 0.0) {
-                continue; // whole-block skip (zero-padding rows)
-            }
-            double* crow = c + i * ldc;
-            const __m256d va0 = _mm256_set1_pd(a0i);
-            const __m256d va1 = _mm256_set1_pd(a1i);
-            const __m256d va2 = _mm256_set1_pd(a2i);
-            const __m256d va3 = _mm256_set1_pd(a3i);
-            size_t j = 0;
-            for (; j + 4 <= bcols; j += 4) {
-                __m256d acc = _mm256_loadu_pd(crow + j);
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va0, _mm256_loadu_pd(b0 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va1, _mm256_loadu_pd(b1 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va2, _mm256_loadu_pd(b2 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va3, _mm256_loadu_pd(b3 + j)));
-                _mm256_storeu_pd(crow + j, acc);
-            }
-            for (; j < bcols; ++j) {
-                double acc = crow[j];
-                acc += a0i * b0[j];
-                acc += a1i * b1[j];
-                acc += a2i * b2[j];
-                acc += a3i * b3[j];
-                crow[j] = acc;
-            }
-        }
-    }
-    // Row remainder: one vectorized row at a time (same per-element
-    // ascending-r term order as the naive loop).
-    for (; r0 < rows; ++r0) {
-        const double* arow = a + r0 * lda;
-        const double* brow = b + r0 * ldb;
-        for (size_t i = 0; i < acols; ++i) {
-            const double ari = arow[i];
-            if (ari == 0.0) {
-                continue;
-            }
-            double* crow = c + i * ldc;
-            const __m256d va = _mm256_set1_pd(ari);
-            size_t j = 0;
-            for (; j + 4 <= bcols; j += 4) {
-                const __m256d acc = _mm256_add_pd(
-                    _mm256_loadu_pd(crow + j),
-                    _mm256_mul_pd(va, _mm256_loadu_pd(brow + j)));
-                _mm256_storeu_pd(crow + j, acc);
-            }
-            for (; j < bcols; ++j) {
-                crow[j] += ari * brow[j];
-            }
-        }
-    }
+    size_t j = 0;
+    ((j += panels(a, lda, b + j, ldb, seg_rows, nsegs, acols, bcols - j,
+                  c + j, ldc)),
+     ...);
 }
 
-/**
- * AVX-512 tier of the accumulating TNAcc kernel: the AVX2 kernel's 4-row
- * blocking with 8-wide ZMM j panels (then a 4-wide YMM panel and a scalar
- * tail), so TLP-sized packs keep the whole 64-wide C row in four panel
- * round-trips instead of eight. Same per-element ascending-r term order
- * and whole-block zero-skip as the AVX2 tier.
- */
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx512f"))) void
-matmulTNAccAvx512(const double* a, size_t rows, size_t acols, size_t lda,
-                  const double* b, size_t bcols, size_t ldb, double* c,
-                  size_t ldc)
-{
-    size_t r0 = 0;
-    for (; r0 + 4 <= rows; r0 += 4) {
-        const double* a0 = a + (r0 + 0) * lda;
-        const double* a1 = a + (r0 + 1) * lda;
-        const double* a2 = a + (r0 + 2) * lda;
-        const double* a3 = a + (r0 + 3) * lda;
-        const double* b0 = b + (r0 + 0) * ldb;
-        const double* b1 = b + (r0 + 1) * ldb;
-        const double* b2 = b + (r0 + 2) * ldb;
-        const double* b3 = b + (r0 + 3) * ldb;
-        for (size_t i = 0; i < acols; ++i) {
-            const double a0i = a0[i];
-            const double a1i = a1[i];
-            const double a2i = a2[i];
-            const double a3i = a3[i];
-            if (a0i == 0.0 && a1i == 0.0 && a2i == 0.0 && a3i == 0.0) {
-                continue; // whole-block skip (zero-padding rows)
-            }
-            double* crow = c + i * ldc;
-            const __m512d wa0 = _mm512_set1_pd(a0i);
-            const __m512d wa1 = _mm512_set1_pd(a1i);
-            const __m512d wa2 = _mm512_set1_pd(a2i);
-            const __m512d wa3 = _mm512_set1_pd(a3i);
-            size_t j = 0;
-            for (; j + 8 <= bcols; j += 8) {
-                __m512d acc = _mm512_loadu_pd(crow + j);
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(wa0, _mm512_loadu_pd(b0 + j)));
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(wa1, _mm512_loadu_pd(b1 + j)));
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(wa2, _mm512_loadu_pd(b2 + j)));
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(wa3, _mm512_loadu_pd(b3 + j)));
-                _mm512_storeu_pd(crow + j, acc);
-            }
-            for (; j + 4 <= bcols; j += 4) {
-                __m256d acc = _mm256_loadu_pd(crow + j);
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(_mm256_set1_pd(a0i),
-                                       _mm256_loadu_pd(b0 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(_mm256_set1_pd(a1i),
-                                       _mm256_loadu_pd(b1 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(_mm256_set1_pd(a2i),
-                                       _mm256_loadu_pd(b2 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(_mm256_set1_pd(a3i),
-                                       _mm256_loadu_pd(b3 + j)));
-                _mm256_storeu_pd(crow + j, acc);
-            }
-            for (; j < bcols; ++j) {
-                double acc = crow[j];
-                acc += a0i * b0[j];
-                acc += a1i * b1[j];
-                acc += a2i * b2[j];
-                acc += a3i * b3[j];
-                crow[j] = acc;
-            }
-        }
-    }
-    for (; r0 < rows; ++r0) {
-        const double* arow = a + r0 * lda;
-        const double* brow = b + r0 * ldb;
-        for (size_t i = 0; i < acols; ++i) {
-            const double ari = arow[i];
-            if (ari == 0.0) {
-                continue;
-            }
-            double* crow = c + i * ldc;
-            const __m512d wa = _mm512_set1_pd(ari);
-            size_t j = 0;
-            for (; j + 8 <= bcols; j += 8) {
-                const __m512d acc = _mm512_add_pd(
-                    _mm512_loadu_pd(crow + j),
-                    _mm512_mul_pd(wa, _mm512_loadu_pd(brow + j)));
-                _mm512_storeu_pd(crow + j, acc);
-            }
-            for (; j + 4 <= bcols; j += 4) {
-                const __m256d acc = _mm256_add_pd(
-                    _mm256_loadu_pd(crow + j),
-                    _mm256_mul_pd(_mm256_set1_pd(ari),
-                                  _mm256_loadu_pd(brow + j)));
-                _mm256_storeu_pd(crow + j, acc);
-            }
-            for (; j < bcols; ++j) {
-                crow[j] += ari * brow[j];
-            }
-        }
-    }
-}
-#pragma GCC diagnostic pop
-
-/**
- * Segment-blocked dW kernels (see matmulTNSegBlocked): C panels live in
- * registers across the whole segment run — per (i, j) panel the
- * accumulator is loaded once, every segment folds in through a local
- * partial register, and the panel is stored once, replacing one C
- * load/add/store pass PER SEGMENT with one per pack. The per-element
- * rounding chain (partial over ascending r, one add per segment, segments
- * ascending) is exactly the composed per-segment naive reference
- * (matmulTNSegBlockedNaive).
- */
-__attribute__((target("avx2"))) void
-matmulTNSegBlockedAvx2(const double* a, size_t lda, const double* b,
-                       size_t ldb, const size_t* seg_rows, size_t nsegs,
-                       size_t acols, size_t bcols, double* c, size_t ldc)
-{
-    size_t i0 = 0;
-    for (; i0 + 4 <= acols; i0 += 4) {
-        double* c0 = c + (i0 + 0) * ldc;
-        double* c1 = c + (i0 + 1) * ldc;
-        double* c2 = c + (i0 + 2) * ldc;
-        double* c3 = c + (i0 + 3) * ldc;
-        size_t j = 0;
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc0 = _mm256_loadu_pd(c0 + j);
-            __m256d acc1 = _mm256_loadu_pd(c1 + j);
-            __m256d acc2 = _mm256_loadu_pd(c2 + j);
-            __m256d acc3 = _mm256_loadu_pd(c3 + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m256d p0 = _mm256_setzero_pd();
-                __m256d p1 = _mm256_setzero_pd();
-                __m256d p2 = _mm256_setzero_pd();
-                __m256d p3 = _mm256_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const __m256d bv = _mm256_loadu_pd(bp);
-                    p0 = _mm256_add_pd(
-                        p0, _mm256_mul_pd(_mm256_set1_pd(ap[0]), bv));
-                    p1 = _mm256_add_pd(
-                        p1, _mm256_mul_pd(_mm256_set1_pd(ap[1]), bv));
-                    p2 = _mm256_add_pd(
-                        p2, _mm256_mul_pd(_mm256_set1_pd(ap[2]), bv));
-                    p3 = _mm256_add_pd(
-                        p3, _mm256_mul_pd(_mm256_set1_pd(ap[3]), bv));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 = _mm256_add_pd(acc0, p0);
-                acc1 = _mm256_add_pd(acc1, p1);
-                acc2 = _mm256_add_pd(acc2, p2);
-                acc3 = _mm256_add_pd(acc3, p3);
-            }
-            _mm256_storeu_pd(c0 + j, acc0);
-            _mm256_storeu_pd(c1 + j, acc1);
-            _mm256_storeu_pd(c2 + j, acc2);
-            _mm256_storeu_pd(c3 + j, acc3);
-        }
-        for (; j < bcols; ++j) {
-            double acc0 = c0[j];
-            double acc1 = c1[j];
-            double acc2 = c2[j];
-            double acc3 = c3[j];
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const double bv = bp[0];
-                    p0 += ap[0] * bv;
-                    p1 += ap[1] * bv;
-                    p2 += ap[2] * bv;
-                    p3 += ap[3] * bv;
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 += p0;
-                acc1 += p1;
-                acc2 += p2;
-                acc3 += p3;
-            }
-            c0[j] = acc0;
-            c1[j] = acc1;
-            c2[j] = acc2;
-            c3[j] = acc3;
-        }
-    }
-    for (; i0 < acols; ++i0) {
-        double* crow = c + i0 * ldc;
-        size_t j = 0;
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc = _mm256_loadu_pd(crow + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m256d p = _mm256_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    p = _mm256_add_pd(
-                        p, _mm256_mul_pd(_mm256_set1_pd(ap[0]),
-                                         _mm256_loadu_pd(bp)));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc = _mm256_add_pd(acc, p);
-            }
-            _mm256_storeu_pd(crow + j, acc);
-        }
-        for (; j < bcols; ++j) {
-            double acc = crow[j];
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                double p = 0.0;
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    p += ap[0] * bp[0];
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc += p;
-            }
-            crow[j] = acc;
-        }
-    }
-}
-
-/** AVX-512 tier of the segment-blocked dW kernel: 8-row C blocks with
- *  8-wide ZMM j panels, falling back to 4-row blocks, 4-wide YMM
- *  sub-panels and a scalar column tail, then a 1-row i remainder. */
-__attribute__((target("avx512f"))) void
-matmulTNSegBlockedAvx512(const double* a, size_t lda, const double* b,
-                         size_t ldb, const size_t* seg_rows, size_t nsegs,
-                         size_t acols, size_t bcols, double* c, size_t ldc)
-{
-    size_t i0 = 0;
-    for (; i0 + 8 <= acols; i0 += 8) {
-        // 8-row x 8-wide ZMM tile: one shared B load feeds eight
-        // broadcast mul+add chains, halving B traffic per flop versus
-        // the 4-row tile and giving each add chain 2x latency slack.
-        size_t j = 0;
-        for (; j + 8 <= bcols; j += 8) {
-            __m512d acc0 = _mm512_loadu_pd(c + (i0 + 0) * ldc + j);
-            __m512d acc1 = _mm512_loadu_pd(c + (i0 + 1) * ldc + j);
-            __m512d acc2 = _mm512_loadu_pd(c + (i0 + 2) * ldc + j);
-            __m512d acc3 = _mm512_loadu_pd(c + (i0 + 3) * ldc + j);
-            __m512d acc4 = _mm512_loadu_pd(c + (i0 + 4) * ldc + j);
-            __m512d acc5 = _mm512_loadu_pd(c + (i0 + 5) * ldc + j);
-            __m512d acc6 = _mm512_loadu_pd(c + (i0 + 6) * ldc + j);
-            __m512d acc7 = _mm512_loadu_pd(c + (i0 + 7) * ldc + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m512d p0 = _mm512_setzero_pd();
-                __m512d p1 = _mm512_setzero_pd();
-                __m512d p2 = _mm512_setzero_pd();
-                __m512d p3 = _mm512_setzero_pd();
-                __m512d p4 = _mm512_setzero_pd();
-                __m512d p5 = _mm512_setzero_pd();
-                __m512d p6 = _mm512_setzero_pd();
-                __m512d p7 = _mm512_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const __m512d bv = _mm512_loadu_pd(bp);
-                    p0 = _mm512_add_pd(
-                        p0, _mm512_mul_pd(_mm512_set1_pd(ap[0]), bv));
-                    p1 = _mm512_add_pd(
-                        p1, _mm512_mul_pd(_mm512_set1_pd(ap[1]), bv));
-                    p2 = _mm512_add_pd(
-                        p2, _mm512_mul_pd(_mm512_set1_pd(ap[2]), bv));
-                    p3 = _mm512_add_pd(
-                        p3, _mm512_mul_pd(_mm512_set1_pd(ap[3]), bv));
-                    p4 = _mm512_add_pd(
-                        p4, _mm512_mul_pd(_mm512_set1_pd(ap[4]), bv));
-                    p5 = _mm512_add_pd(
-                        p5, _mm512_mul_pd(_mm512_set1_pd(ap[5]), bv));
-                    p6 = _mm512_add_pd(
-                        p6, _mm512_mul_pd(_mm512_set1_pd(ap[6]), bv));
-                    p7 = _mm512_add_pd(
-                        p7, _mm512_mul_pd(_mm512_set1_pd(ap[7]), bv));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 = _mm512_add_pd(acc0, p0);
-                acc1 = _mm512_add_pd(acc1, p1);
-                acc2 = _mm512_add_pd(acc2, p2);
-                acc3 = _mm512_add_pd(acc3, p3);
-                acc4 = _mm512_add_pd(acc4, p4);
-                acc5 = _mm512_add_pd(acc5, p5);
-                acc6 = _mm512_add_pd(acc6, p6);
-                acc7 = _mm512_add_pd(acc7, p7);
-            }
-            _mm512_storeu_pd(c + (i0 + 0) * ldc + j, acc0);
-            _mm512_storeu_pd(c + (i0 + 1) * ldc + j, acc1);
-            _mm512_storeu_pd(c + (i0 + 2) * ldc + j, acc2);
-            _mm512_storeu_pd(c + (i0 + 3) * ldc + j, acc3);
-            _mm512_storeu_pd(c + (i0 + 4) * ldc + j, acc4);
-            _mm512_storeu_pd(c + (i0 + 5) * ldc + j, acc5);
-            _mm512_storeu_pd(c + (i0 + 6) * ldc + j, acc6);
-            _mm512_storeu_pd(c + (i0 + 7) * ldc + j, acc7);
-        }
-        // Column tail (<8 remaining): two 4-row passes. Each C element's
-        // add chain is independent per (i, j), so splitting the row
-        // block here changes no byte.
-        for (size_t h = i0; h < i0 + 8; h += 4) {
-            double* c0 = c + (h + 0) * ldc;
-            double* c1 = c + (h + 1) * ldc;
-            double* c2 = c + (h + 2) * ldc;
-            double* c3 = c + (h + 3) * ldc;
-            size_t jj = j;
-            for (; jj + 4 <= bcols; jj += 4) {
-                __m256d acc0 = _mm256_loadu_pd(c0 + jj);
-                __m256d acc1 = _mm256_loadu_pd(c1 + jj);
-                __m256d acc2 = _mm256_loadu_pd(c2 + jj);
-                __m256d acc3 = _mm256_loadu_pd(c3 + jj);
-                const double* ap = a + h;
-                const double* bp = b + jj;
-                for (size_t s = 0; s < nsegs; ++s) {
-                    __m256d p0 = _mm256_setzero_pd();
-                    __m256d p1 = _mm256_setzero_pd();
-                    __m256d p2 = _mm256_setzero_pd();
-                    __m256d p3 = _mm256_setzero_pd();
-                    for (size_t r = 0; r < seg_rows[s]; ++r) {
-                        const __m256d bv = _mm256_loadu_pd(bp);
-                        p0 = _mm256_add_pd(
-                            p0, _mm256_mul_pd(_mm256_set1_pd(ap[0]), bv));
-                        p1 = _mm256_add_pd(
-                            p1, _mm256_mul_pd(_mm256_set1_pd(ap[1]), bv));
-                        p2 = _mm256_add_pd(
-                            p2, _mm256_mul_pd(_mm256_set1_pd(ap[2]), bv));
-                        p3 = _mm256_add_pd(
-                            p3, _mm256_mul_pd(_mm256_set1_pd(ap[3]), bv));
-                        ap += lda;
-                        bp += ldb;
-                    }
-                    acc0 = _mm256_add_pd(acc0, p0);
-                    acc1 = _mm256_add_pd(acc1, p1);
-                    acc2 = _mm256_add_pd(acc2, p2);
-                    acc3 = _mm256_add_pd(acc3, p3);
-                }
-                _mm256_storeu_pd(c0 + jj, acc0);
-                _mm256_storeu_pd(c1 + jj, acc1);
-                _mm256_storeu_pd(c2 + jj, acc2);
-                _mm256_storeu_pd(c3 + jj, acc3);
-            }
-            for (; jj < bcols; ++jj) {
-                double acc0 = c0[jj];
-                double acc1 = c1[jj];
-                double acc2 = c2[jj];
-                double acc3 = c3[jj];
-                const double* ap = a + h;
-                const double* bp = b + jj;
-                for (size_t s = 0; s < nsegs; ++s) {
-                    double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-                    for (size_t r = 0; r < seg_rows[s]; ++r) {
-                        const double bv = bp[0];
-                        p0 += ap[0] * bv;
-                        p1 += ap[1] * bv;
-                        p2 += ap[2] * bv;
-                        p3 += ap[3] * bv;
-                        ap += lda;
-                        bp += ldb;
-                    }
-                    acc0 += p0;
-                    acc1 += p1;
-                    acc2 += p2;
-                    acc3 += p3;
-                }
-                c0[jj] = acc0;
-                c1[jj] = acc1;
-                c2[jj] = acc2;
-                c3[jj] = acc3;
-            }
-        }
-    }
-    for (; i0 + 4 <= acols; i0 += 4) {
-        double* c0 = c + (i0 + 0) * ldc;
-        double* c1 = c + (i0 + 1) * ldc;
-        double* c2 = c + (i0 + 2) * ldc;
-        double* c3 = c + (i0 + 3) * ldc;
-        // 4-row x 8-wide-ZMM register tile. Wider tiles (two ZMM panels
-        // per row) measured slower on this host despite the extra
-        // add-latency slack — the 12 live accumulator/partial registers
-        // push GCC into reordering that loses the shared-broadcast win.
-        size_t j = 0;
-        for (; j + 8 <= bcols; j += 8) {
-            __m512d acc0 = _mm512_loadu_pd(c0 + j);
-            __m512d acc1 = _mm512_loadu_pd(c1 + j);
-            __m512d acc2 = _mm512_loadu_pd(c2 + j);
-            __m512d acc3 = _mm512_loadu_pd(c3 + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m512d p0 = _mm512_setzero_pd();
-                __m512d p1 = _mm512_setzero_pd();
-                __m512d p2 = _mm512_setzero_pd();
-                __m512d p3 = _mm512_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const __m512d bv = _mm512_loadu_pd(bp);
-                    p0 = _mm512_add_pd(
-                        p0, _mm512_mul_pd(_mm512_set1_pd(ap[0]), bv));
-                    p1 = _mm512_add_pd(
-                        p1, _mm512_mul_pd(_mm512_set1_pd(ap[1]), bv));
-                    p2 = _mm512_add_pd(
-                        p2, _mm512_mul_pd(_mm512_set1_pd(ap[2]), bv));
-                    p3 = _mm512_add_pd(
-                        p3, _mm512_mul_pd(_mm512_set1_pd(ap[3]), bv));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 = _mm512_add_pd(acc0, p0);
-                acc1 = _mm512_add_pd(acc1, p1);
-                acc2 = _mm512_add_pd(acc2, p2);
-                acc3 = _mm512_add_pd(acc3, p3);
-            }
-            _mm512_storeu_pd(c0 + j, acc0);
-            _mm512_storeu_pd(c1 + j, acc1);
-            _mm512_storeu_pd(c2 + j, acc2);
-            _mm512_storeu_pd(c3 + j, acc3);
-        }
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc0 = _mm256_loadu_pd(c0 + j);
-            __m256d acc1 = _mm256_loadu_pd(c1 + j);
-            __m256d acc2 = _mm256_loadu_pd(c2 + j);
-            __m256d acc3 = _mm256_loadu_pd(c3 + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m256d p0 = _mm256_setzero_pd();
-                __m256d p1 = _mm256_setzero_pd();
-                __m256d p2 = _mm256_setzero_pd();
-                __m256d p3 = _mm256_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const __m256d bv = _mm256_loadu_pd(bp);
-                    p0 = _mm256_add_pd(
-                        p0, _mm256_mul_pd(_mm256_set1_pd(ap[0]), bv));
-                    p1 = _mm256_add_pd(
-                        p1, _mm256_mul_pd(_mm256_set1_pd(ap[1]), bv));
-                    p2 = _mm256_add_pd(
-                        p2, _mm256_mul_pd(_mm256_set1_pd(ap[2]), bv));
-                    p3 = _mm256_add_pd(
-                        p3, _mm256_mul_pd(_mm256_set1_pd(ap[3]), bv));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 = _mm256_add_pd(acc0, p0);
-                acc1 = _mm256_add_pd(acc1, p1);
-                acc2 = _mm256_add_pd(acc2, p2);
-                acc3 = _mm256_add_pd(acc3, p3);
-            }
-            _mm256_storeu_pd(c0 + j, acc0);
-            _mm256_storeu_pd(c1 + j, acc1);
-            _mm256_storeu_pd(c2 + j, acc2);
-            _mm256_storeu_pd(c3 + j, acc3);
-        }
-        for (; j < bcols; ++j) {
-            double acc0 = c0[j];
-            double acc1 = c1[j];
-            double acc2 = c2[j];
-            double acc3 = c3[j];
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const double bv = bp[0];
-                    p0 += ap[0] * bv;
-                    p1 += ap[1] * bv;
-                    p2 += ap[2] * bv;
-                    p3 += ap[3] * bv;
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 += p0;
-                acc1 += p1;
-                acc2 += p2;
-                acc3 += p3;
-            }
-            c0[j] = acc0;
-            c1[j] = acc1;
-            c2[j] = acc2;
-            c3[j] = acc3;
-        }
-    }
-    for (; i0 < acols; ++i0) {
-        double* crow = c + i0 * ldc;
-        size_t j = 0;
-        for (; j + 8 <= bcols; j += 8) {
-            __m512d acc = _mm512_loadu_pd(crow + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m512d p = _mm512_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    p = _mm512_add_pd(
-                        p, _mm512_mul_pd(_mm512_set1_pd(ap[0]),
-                                         _mm512_loadu_pd(bp)));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc = _mm512_add_pd(acc, p);
-            }
-            _mm512_storeu_pd(crow + j, acc);
-        }
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc = _mm256_loadu_pd(crow + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m256d p = _mm256_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    p = _mm256_add_pd(
-                        p, _mm256_mul_pd(_mm256_set1_pd(ap[0]),
-                                         _mm256_loadu_pd(bp)));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc = _mm256_add_pd(acc, p);
-            }
-            _mm256_storeu_pd(crow + j, acc);
-        }
-        for (; j < bcols; ++j) {
-            double acc = crow[j];
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                double p = 0.0;
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    p += ap[0] * bp[0];
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc += p;
-            }
-            crow[j] = acc;
-        }
-    }
-}
-
+constexpr LaneTiers<MatmulFn> kMatmulTiers = {
+    matmulTier<lanes8::matmulPanels, lanes4::matmulPanels,
+               lanes1::matmulPanels>,
+    matmulTier<lanes4::matmulPanels, lanes1::matmulPanels>};
+constexpr LaneTiers<MatmulNTFn> kMatmulNTTiers = {
+    matmulNTTier<lanes8::matmulNTPanels, lanes4::matmulNTPanels,
+                 lanes1::matmulNTPanels>,
+    matmulNTTier<lanes4::matmulNTPanels, lanes1::matmulNTPanels>};
+constexpr LaneTiers<MatmulTNSegFn> kSegBlockedTiers = {
+    segBlockedTier<lanes8::segBlockedPanels, lanes4::segBlockedPanels,
+                   lanes1::segBlockedPanels>,
+    segBlockedTier<lanes4::segBlockedPanels, lanes1::segBlockedPanels>};
+#else
+constexpr LaneTiers<MatmulFn> kMatmulTiers = {};
+constexpr LaneTiers<MatmulNTFn> kMatmulNTTiers = {};
+constexpr LaneTiers<MatmulTNSegFn> kSegBlockedTiers = {};
 #endif // PRUNER_NNKERNEL_X86
 
-using MatmulFn = void (*)(const double*, size_t, size_t, size_t,
-                          const double*, size_t, size_t, double*, size_t,
-                          const Epilogue&);
+/** Deterministic self-check data: doubles in [0, 2) with full mantissas,
+ *  so any contraction of the mul/add roundings shows up immediately. */
+class CheckRng
+{
+  public:
+    explicit CheckRng(uint64_t seed) : state_(seed) {}
 
-using MatmulNTFn = void (*)(const double*, size_t, size_t, size_t,
-                            const double*, size_t, size_t, double*, size_t);
+    double
+    next()
+    {
+        state_ = state_ * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<double>(static_cast<int64_t>(state_ >> 11)) /
+               static_cast<double>(1ll << 52);
+    }
+
+    /** Fill @p n values, every @p zero_every-th (if nonzero) with 0.0. */
+    void
+    fill(double* v, size_t n, size_t zero_every = 0)
+    {
+        for (size_t e = 0; e < n; ++e) {
+            v[e] = zero_every != 0 && e % zero_every == 0 ? 0.0 : next();
+        }
+    }
+
+  private:
+    uint64_t state_;
+};
 
 /**
- * One-time dispatch self-check: a kernel tier is only used if it
- * reproduces the naive golden kernel bit for bit on a case that covers
- * the main tile and every remainder path. This demotes a tier that a
+ * Dispatch self-check of matmul(): a tier is only used if it reproduces
+ * the naive golden kernel bit for bit. This demotes a tier that a
  * compiler silently broke (e.g. contracting the explicit mul+add
  * intrinsics into FMAs under -ffp-contract=fast) instead of letting it
- * violate the engine's byte-identity guarantee.
+ * violate the engine's byte-identity guarantee. m = 9, n = 27 reach every
+ * path of both tiers: 4-row tiles plus a row remainder; 16-, 8- and
+ * 2-column panels and the last odd column.
  */
 bool
 matchesNaiveKernel(MatmulFn fn)
 {
-    // m = 9, n = 27 reaches every path of every tier: full 4-row blocks
-    // plus a row remainder, a full vector j-panel plus a sub-panel and a
-    // scalar column remainder (for the AVX-512 tier that includes its
-    // delegations into the AVX2 kernel's main 4x8 block).
     constexpr size_t m = 9, k = 9, n = 27;
     double a[m * k], b[k * n], fast[m * n], naive[m * n];
-    uint64_t state = 0x9E3779B97F4A7C15ull;
-    auto next = [&state]() {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        // Doubles in ~[-1, 1] with full mantissas: any contraction of the
-        // mul/add roundings shows up immediately.
-        return static_cast<double>(static_cast<int64_t>(state >> 11)) /
-               static_cast<double>(1ll << 52);
-    };
-    for (double& v : a) {
-        v = next();
-    }
-    for (double& v : b) {
-        v = next();
-    }
+    CheckRng rng(0x9E3779B97F4A7C15ull);
+    rng.fill(a, m * k);
+    rng.fill(b, k * n);
     fn(a, m, k, k, b, n, n, fast, n, Epilogue{});
     matmulNaive(a, m, k, k, b, n, n, naive, n);
     if (std::memcmp(fast, naive, sizeof(fast)) != 0) {
@@ -1321,9 +468,7 @@ matchesNaiveKernel(MatmulFn fn)
     }
     // Fused bias+relu epilogue vs the standalone passes.
     double bias[n];
-    for (double& v : bias) {
-        v = next();
-    }
+    rng.fill(bias, n);
     fn(a, m, k, k, b, n, n, fast, n, Epilogue{bias, true, false, nullptr});
     for (size_t i = 0; i < m; ++i) {
         for (size_t j = 0; j < n; ++j) {
@@ -1339,7 +484,7 @@ matchesNaiveKernel(MatmulFn fn)
     // with a mask laced with zeros, negatives and -0.0.
     double mask[m * n];
     for (size_t e = 0; e < m * n; ++e) {
-        mask[e] = e % 3 == 0 ? 0.0 : (e % 5 == 0 ? -0.0 : next());
+        mask[e] = e % 3 == 0 ? 0.0 : (e % 5 == 0 ? -0.0 : rng.next());
     }
     double prod[m * n];
     matmulNaive(a, m, k, k, b, n, n, prod, n);
@@ -1352,98 +497,32 @@ matchesNaiveKernel(MatmulFn fn)
 }
 
 /**
- * Same demote-on-mismatch self-check for the NT kernel: m = 11, n = 15
- * covers the AVX-512 tier's 4x8 main block, its 3-row ZMM row-remainder
- * path, and its AVX2 column-remainder delegation (a full 4x4 block and a
- * scalar tail), the AVX2 tier's own main block and remainders, and the
- * naive row-remainder delegation; k = 9 covers the transposed four-step
- * k panels and the gathered k tail.
+ * Same self-check for the NT kernel: m = 11 covers the 4-row blocks and a
+ * 3-row remainder block; n = 15 the 8-, 4- and 1-wide column panels;
+ * k = 9 the transposed four-step k panels and the gathered k tail.
  */
 bool
 matchesNaiveKernelNT(MatmulNTFn fn)
 {
     constexpr size_t m = 11, k = 9, n = 15;
     double a[m * k], b[n * k], fast[m * n], naive[m * n];
-    uint64_t state = 0xA5A5A5A55A5A5A5Aull;
-    auto next = [&state]() {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        return static_cast<double>(static_cast<int64_t>(state >> 11)) /
-               static_cast<double>(1ll << 52);
-    };
-    for (double& v : a) {
-        v = next();
-    }
-    for (double& v : b) {
-        v = next();
-    }
+    CheckRng rng(0xA5A5A5A55A5A5A5Aull);
+    rng.fill(a, m * k);
+    rng.fill(b, n * k);
     fn(a, m, k, k, b, n, k, fast, n);
     matmulNTNaive(a, m, k, k, b, n, k, naive, n);
     return std::memcmp(fast, naive, sizeof(fast)) == 0;
 }
 
 /**
- * Self-check for the accumulating gradient kernels: random data with
- * zeros planted in A (the naive loops' skip path), accumulated twice so
- * the second pass starts from a non-zero C — both passes must match the
- * frozen reference kernel bit for bit. rows = 9 covers the 4-row block
- * and the row remainder; bcols = 15 covers the 8- and 4-wide vector
- * panels and the scalar column remainder.
- */
-bool
-matchesAccumulatingReference(MatmulNTFn fn, MatmulNTFn ref)
-{
-    constexpr size_t rows = 9, acols = 7, bcols = 15;
-    double a[rows * acols], b[rows * bcols];
-    double fast[acols * bcols] = {}, naive[acols * bcols] = {};
-    uint64_t state = 0xC3C3C3C33C3C3C3Cull;
-    auto next = [&state]() {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        return static_cast<double>(static_cast<int64_t>(state >> 11)) /
-               static_cast<double>(1ll << 52);
-    };
-    for (size_t e = 0; e < rows * acols; ++e) {
-        a[e] = e % 5 == 0 ? 0.0 : next(); // exercise the zero-skip
-    }
-    for (double& v : b) {
-        v = next();
-    }
-    for (int pass = 0; pass < 2; ++pass) {
-        fn(a, rows, acols, acols, b, bcols, bcols, fast, bcols);
-        ref(a, rows, acols, acols, b, bcols, bcols, naive, bcols);
-        if (std::memcmp(fast, naive, sizeof(fast)) != 0) {
-            return false;
-        }
-    }
-    // Second round at the models' layer width (64 columns), the shape
-    // the specialized whole-row panel path handles.
-    constexpr size_t wide = 64;
-    double bw[rows * wide], fastw[acols * wide] = {},
-        naivew[acols * wide] = {};
-    for (double& v : bw) {
-        v = next();
-    }
-    for (int pass = 0; pass < 2; ++pass) {
-        fn(a, rows, acols, acols, bw, wide, wide, fastw, wide);
-        ref(a, rows, acols, acols, bw, wide, wide, naivew, wide);
-        if (std::memcmp(fastw, naivew, sizeof(fastw)) != 0) {
-            return false;
-        }
-    }
-    return true;
-}
-
-using MatmulTNSegFn = void (*)(const double*, size_t, const double*,
-                               size_t, const size_t*, size_t, size_t,
-                               size_t, double*, size_t);
-
-/**
  * Self-check for the segment-blocked dW kernel: a segment mix of one-row
  * runs and 2/3/4-row segments, zeros planted in A (the composed naive
  * reference's skip paths), accumulated twice so the second pass starts
- * from a non-zero C. acols = 7 covers the 4-row C block and the 3-row
- * remainder; bcols = 15 covers the 8- and 4-wide vector panels and the
- * scalar column tail; a second round runs at the models' layer width
- * (64 columns). Compared bit for bit against matmulTNSegBlockedNaive.
+ * from a non-zero C. acols = 7 covers a 4-row C block and 1-row
+ * remainders; bcols = 15 covers the 8-, 4- and 1-wide column panels; a
+ * second round runs at the models' layer width
+ * (64 columns), a third with ten A columns (an 8-row block). Compared bit
+ * for bit against matmulTNSegBlockedNaive.
  */
 bool
 matchesSegBlockedReference(MatmulTNSegFn fn)
@@ -1454,18 +533,9 @@ matchesSegBlockedReference(MatmulTNSegFn fn)
     constexpr size_t acols = 7, bcols = 15;
     double a[rows * acols], b[rows * bcols];
     double fast[acols * bcols] = {}, naive[acols * bcols] = {};
-    uint64_t state = 0x5DEECE66D2B79F31ull;
-    auto next = [&state]() {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        return static_cast<double>(static_cast<int64_t>(state >> 11)) /
-               static_cast<double>(1ll << 52);
-    };
-    for (size_t e = 0; e < rows * acols; ++e) {
-        a[e] = e % 5 == 0 ? 0.0 : next(); // exercise the zero-skip paths
-    }
-    for (double& v : b) {
-        v = next();
-    }
+    CheckRng rng(0x5DEECE66D2B79F31ull);
+    rng.fill(a, rows * acols, 5); // exercise the zero-skip paths
+    rng.fill(b, rows * bcols);
     for (int pass = 0; pass < 2; ++pass) {
         fn(a, acols, b, bcols, segs, nsegs, acols, bcols, fast, bcols);
         matmulTNSegBlockedNaive(a, acols, b, bcols, segs, nsegs, acols,
@@ -1476,14 +546,12 @@ matchesSegBlockedReference(MatmulTNSegFn fn)
     }
     // Second round at the models' layer width (64 columns), plus a
     // one-row-only segment list: the collapsed-run shape whose reference
-    // path is the direct matmulTNAccNaive accumulation.
+    // path is the direct one-row accumulation.
     constexpr size_t ones[] = {1, 1, 1, 1, 1};
     constexpr size_t wide = 64;
     double bw[rows * wide], fastw[acols * wide] = {},
                             naivew[acols * wide] = {};
-    for (double& v : bw) {
-        v = next();
-    }
+    rng.fill(bw, rows * wide);
     for (int pass = 0; pass < 2; ++pass) {
         fn(a, acols, bw, wide, segs, nsegs, acols, wide, fastw, wide);
         matmulTNSegBlockedNaive(a, acols, bw, wide, segs, nsegs, acols,
@@ -1502,9 +570,7 @@ matchesSegBlockedReference(MatmulTNSegFn fn)
     // remainder, against both the ragged and layer-width column counts.
     constexpr size_t acols2 = 10;
     double a2[rows * acols2];
-    for (size_t e = 0; e < rows * acols2; ++e) {
-        a2[e] = e % 5 == 0 ? 0.0 : next();
-    }
+    rng.fill(a2, rows * acols2, 5);
     double fast2[acols2 * bcols] = {}, naive2[acols2 * bcols] = {};
     double fast2w[acols2 * wide] = {}, naive2w[acols2 * wide] = {};
     for (int pass = 0; pass < 2; ++pass) {
@@ -1525,159 +591,100 @@ matchesSegBlockedReference(MatmulTNSegFn fn)
 }
 
 /** A dispatched kernel plus its tier name (see nnkernel::kernelTiers). */
-struct PickedMatmul
+template <class Fn>
+struct Picked
 {
-    MatmulFn fn;
-    const char* tier;
-};
-struct PickedMatmulNT
-{
-    MatmulNTFn fn;
-    const char* tier;
-};
-struct PickedMatmulTNSeg
-{
-    MatmulTNSegFn fn;
+    Fn fn;
     const char* tier;
 };
 
+/**
+ * Once-per-process dispatch of one kernel (@p matches is its self-check;
+ * the static is per kernel). Every vector tier the CPU supports is
+ * self-checked, not only the widest, so a width a toolchain broke counts
+ * in kernelTierDemotions() even on a host that would never run it; the
+ * widest tier that passes is used, else @p fallback.
+ */
+template <class Fn, bool (*matches)(Fn)>
+const Picked<Fn>&
+pickedTier(const LaneTiers<Fn>& tiers, Picked<Fn> fallback)
+{
+    static const Picked<Fn> picked = [&]() {
+        Picked<Fn> best = fallback;
 #ifdef PRUNER_NNKERNEL_X86
-
-PickedMatmul
-pickKernel()
-{
-    // The AVX-512 tier delegates its remainders to the AVX2 kernel, so
-    // both must pass before it is accepted.
-    if (__builtin_cpu_supports("avx512f")) {
-        if (matchesNaiveKernel(matmulAvx512) &&
-            matchesNaiveKernel(matmulAvx2)) {
-            return {matmulAvx512, "avx512"};
+        const bool avx2 = __builtin_cpu_supports("avx2");
+        const struct
+        {
+            Picked<Fn> tier;
+            bool supported;
+        } candidates[] = {
+            // Narrowest first: the widest tier that passes is kept. The
+            // 8-lane tier hands its column tails to the 4-lane code.
+            {{tiers.lanes4, "avx2"}, avx2},
+            {{tiers.lanes8, "avx512"},
+             avx2 && __builtin_cpu_supports("avx512f")},
+        };
+        for (const auto& c : candidates) {
+            if (!c.supported) {
+                continue;
+            }
+            if (matches(c.tier.fn)) {
+                best = c.tier;
+            } else {
+                noteTierDemotion();
+            }
         }
-        noteTierDemotion();
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        if (matchesNaiveKernel(matmulAvx2)) {
-            return {matmulAvx2, "avx2"};
-        }
-        noteTierDemotion();
-    }
-    return {matmulScalarTile, "scalar"};
-}
-
-PickedMatmulNT
-pickKernelNT()
-{
-    // The AVX-512 NT tier delegates its remainders to the AVX2 NT
-    // kernel, so both must pass before it is accepted.
-    if (__builtin_cpu_supports("avx512f")) {
-        if (matchesNaiveKernelNT(matmulNTAvx512) &&
-            matchesNaiveKernelNT(matmulNTAvx2)) {
-            return {matmulNTAvx512, "avx512"};
-        }
-        noteTierDemotion();
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        if (matchesNaiveKernelNT(matmulNTAvx2)) {
-            return {matmulNTAvx2, "avx2"};
-        }
-        noteTierDemotion();
-    }
-    return {matmulNTNaive, "naive"};
-}
-
-PickedMatmulNT
-pickKernelTNAcc()
-{
-    if (__builtin_cpu_supports("avx512f")) {
-        if (matchesAccumulatingReference(matmulTNAccAvx512,
-                                         matmulTNAccNaive)) {
-            return {matmulTNAccAvx512, "avx512"};
-        }
-        noteTierDemotion();
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        if (matchesAccumulatingReference(matmulTNAccAvx2,
-                                         matmulTNAccNaive)) {
-            return {matmulTNAccAvx2, "avx2"};
-        }
-        noteTierDemotion();
-    }
-    return {matmulTNAccNaive, "naive"};
-}
-
-PickedMatmulTNSeg
-pickKernelTNSeg()
-{
-    if (__builtin_cpu_supports("avx512f")) {
-        if (matchesSegBlockedReference(matmulTNSegBlockedAvx512)) {
-            return {matmulTNSegBlockedAvx512, "avx512"};
-        }
-        noteTierDemotion();
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        if (matchesSegBlockedReference(matmulTNSegBlockedAvx2)) {
-            return {matmulTNSegBlockedAvx2, "avx2"};
-        }
-        noteTierDemotion();
-    }
-    return {matmulTNSegBlockedNaive, "naive"};
-}
-
 #else
-
-PickedMatmul
-pickKernel()
-{
-    return {matmulScalarTile, "scalar"};
-}
-
-PickedMatmulNT
-pickKernelNT()
-{
-    return {matmulNTNaive, "naive"};
-}
-
-PickedMatmulNT
-pickKernelTNAcc()
-{
-    return {matmulTNAccNaive, "naive"};
-}
-
-PickedMatmulTNSeg
-pickKernelTNSeg()
-{
-    return {matmulTNSegBlockedNaive, "naive"};
-}
-
+        (void)tiers;
 #endif
-
-/** Once-per-process dispatch caches (the self-check runs on first use). */
-const PickedMatmul&
-pickedKernel()
-{
-    static const PickedMatmul kernel = pickKernel();
-    return kernel;
+        return best;
+    }();
+    return picked;
 }
 
-const PickedMatmulNT&
-pickedKernelNT()
+const Picked<MatmulFn>&
+pickedMatmul()
 {
-    static const PickedMatmulNT kernel = pickKernelNT();
-    return kernel;
+    return pickedTier<MatmulFn, matchesNaiveKernel>(
+        kMatmulTiers, {matmulScalarTile, "scalar"});
 }
 
-const PickedMatmulNT&
-pickedKernelTNAcc()
+const Picked<MatmulNTFn>&
+pickedMatmulNT()
 {
-    static const PickedMatmulNT kernel = pickKernelTNAcc();
-    return kernel;
+    return pickedTier<MatmulNTFn, matchesNaiveKernelNT>(
+        kMatmulNTTiers, {matmulNTNaive, "naive"});
 }
 
-const PickedMatmulTNSeg&
-pickedKernelTNSeg()
+const Picked<MatmulTNSegFn>&
+pickedSegBlocked()
 {
-    static const PickedMatmulTNSeg kernel = pickKernelTNSeg();
-    return kernel;
+    return pickedTier<MatmulTNSegFn, matchesSegBlockedReference>(
+        kSegBlockedTiers, {matmulTNSegBlockedNaive, "naive"});
+}
+
+/** The frozen naive accumulating TN loop (r outer, zero-skip on A[r,i]
+ *  exactly like Matrix::matmulTN): the one-row-segment path of
+ *  matmulTNSegBlockedNaive. */
+void
+matmulTNAccNaive(const double* a, size_t rows, size_t acols, size_t lda,
+                 const double* b, size_t bcols, size_t ldb, double* c,
+                 size_t ldc)
+{
+    for (size_t r = 0; r < rows; ++r) {
+        const double* arow = a + r * lda;
+        const double* brow = b + r * ldb;
+        for (size_t i = 0; i < acols; ++i) {
+            const double ari = arow[i];
+            if (ari == 0.0) {
+                continue;
+            }
+            double* crow = c + i * ldc;
+            for (size_t j = 0; j < bcols; ++j) {
+                crow[j] += ari * brow[j];
+            }
+        }
+    }
 }
 
 } // namespace
@@ -1685,9 +692,8 @@ pickedKernelTNSeg()
 KernelTiers
 kernelTiers()
 {
-    return {pickedKernel().tier, pickedKernelNT().tier,
-            pickedKernelTNAcc().tier, pickedKernelTNSeg().tier,
-            adamTier()};
+    return {pickedMatmul().tier, pickedMatmulNT().tier,
+            pickedSegBlocked().tier, adamTier()};
 }
 
 size_t
@@ -1702,7 +708,7 @@ matmul(const double* a, size_t m, size_t k, size_t lda, const double* b,
        size_t n, size_t ldb, double* c, size_t ldc, const double* bias,
        bool relu, bool accumulate, const double* relu_mask)
 {
-    pickedKernel().fn(a, m, k, lda, b, n, ldb, c, ldc,
+    pickedMatmul().fn(a, m, k, lda, b, n, ldb, c, ldc,
                       Epilogue{bias, relu, accumulate, relu_mask});
 }
 
@@ -1731,7 +737,7 @@ void
 matmulNT(const double* a, size_t m, size_t k, size_t lda, const double* b,
          size_t n, size_t ldb, double* c, size_t ldc)
 {
-    pickedKernelNT().fn(a, m, k, lda, b, n, ldb, c, ldc);
+    pickedMatmulNT().fn(a, m, k, lda, b, n, ldb, c, ldc);
 }
 
 void
@@ -1753,39 +759,11 @@ matmulNTNaive(const double* a, size_t m, size_t k, size_t lda,
 }
 
 void
-matmulTNAcc(const double* a, size_t rows, size_t acols, size_t lda,
-            const double* b, size_t bcols, size_t ldb, double* c, size_t ldc)
-{
-    pickedKernelTNAcc().fn(a, rows, acols, lda, b, bcols, ldb, c, ldc);
-}
-
-void
-matmulTNAccNaive(const double* a, size_t rows, size_t acols, size_t lda,
-                 const double* b, size_t bcols, size_t ldb, double* c,
-                 size_t ldc)
-{
-    for (size_t r = 0; r < rows; ++r) {
-        const double* arow = a + r * lda;
-        const double* brow = b + r * ldb;
-        for (size_t i = 0; i < acols; ++i) {
-            const double ari = arow[i];
-            if (ari == 0.0) {
-                continue;
-            }
-            double* crow = c + i * ldc;
-            for (size_t j = 0; j < bcols; ++j) {
-                crow[j] += ari * brow[j];
-            }
-        }
-    }
-}
-
-void
 matmulTNSegBlocked(const double* a, size_t lda, const double* b, size_t ldb,
                    const size_t* seg_rows, size_t nsegs, size_t acols,
                    size_t bcols, double* c, size_t ldc)
 {
-    const MatmulTNSegFn fn = pickedKernelTNSeg().fn;
+    const MatmulTNSegFn fn = pickedSegBlocked().fn;
     // Cache-block the segment list: the tier kernels walk every segment
     // once per C tile, so a pack larger than L2 would stream DRAM once
     // per tile. Splitting the run at whole-segment boundaries keeps each
@@ -1821,7 +799,7 @@ matmulTNSegBlockedNaive(const double* a, size_t lda, const double* b,
         const size_t rows = seg_rows[s];
         if (rows == 1) {
             // One-row segment: the batched backward's pre-seg-blocked
-            // dispatch accumulated these straight into C (matmulTNAcc).
+            // dispatch accumulated these straight into C.
             matmulTNAccNaive(a, 1, acols, lda, b, bcols, ldb, c, ldc);
         } else {
             // Multi-row segment: the matmulTN chain from zero (ascending

@@ -29,7 +29,8 @@ namespace nnkernel {
  * order with separate multiply and add roundings (no FMA contraction), so
  * the result is bitwise identical to the naive triple loop for any m — the
  * property the batched inference engine's byte-identity guarantee rests
- * on. Dispatches at runtime to an AVX-512 / AVX2 micro-kernel (explicit
+ * on. Dispatches at runtime to an 8-lane (AVX-512) or 4-lane (AVX2) tier
+ * of one width-generic body (4-row x 2-vector register tiles, explicit
  * mul-then-add intrinsics) where available, falling back to a 4x16 scalar
  * register tile; tile sizes are tuned for the 64-wide hidden layers of the
  * cost models (see matrix.cpp).
@@ -54,10 +55,12 @@ void matmul(const double* a, size_t m, size_t k, size_t lda, const double* b,
  * transposed copy is ever materialized. Same ordering contract as
  * matmul(): every C element is a single accumulator over k in ascending
  * order with separate multiply and add roundings, so the bytes equal
- * matmulNTNaive() for any m. Dispatches at runtime to an AVX-512 4x8 or
- * AVX2 4x4 lane-per-element micro-kernel (each self-checked at startup
- * against the naive kernel and demoted on mismatch), falling back to the
- * naive loop.
+ * matmulNTNaive() for any m. Dispatches at runtime to an 8-lane
+ * (AVX-512) or 4-lane (AVX2) tier of one lane-per-element body: 4-row
+ * blocks plus one 1-3-row remainder block, one vector of columns each,
+ * column tails on the narrower width and then at 1 lane. Every tier is
+ * self-checked at startup against the naive kernel and demoted on
+ * mismatch; without one, the naive loop runs.
  * Used by the attention cores (Q K^T without the explicit K transpose)
  * and the batched backward's dX = dY W^T GEMMs. C must not alias A or B.
  */
@@ -72,33 +75,6 @@ void matmulNTNaive(const double* a, size_t m, size_t k, size_t lda,
                    size_t ldc);
 
 /**
- * Accumulating transposed-A product: C[i,j] += sum_r A[r,i] * B[r,j] over
- * @p rows rows, every element's terms added in ascending r with separate
- * multiply/add roundings — the exact per-element chain of
- * Matrix::matmulTN followed by Matrix::add. C is accumulated into, NOT
- * overwritten: running it on a zeroed partial and adding the partial to a
- * gradient reproduces `grad.add(Matrix::matmulTN(x, dy))` byte for byte,
- * and (because one-row partials are single products) accumulating
- * straight into the gradient over consecutive one-row segments
- * reproduces the per-record add sequence too — the dW reductions of the
- * batched backward pass rest on both. Dispatches to an AVX2 4-row-blocked
- * kernel (self-checked against the frozen naive loop, demoted on
- * mismatch). Inputs must be finite; C must hold no -0.0 entries (both
- * hold for every gradient buffer: they start zeroed and accumulate sums,
- * which cannot produce -0.0 under round-to-nearest).
- */
-void matmulTNAcc(const double* a, size_t rows, size_t acols, size_t lda,
-                 const double* b, size_t bcols, size_t ldb, double* c,
-                 size_t ldc);
-
-/** The frozen naive TNAcc loop (r outer, zero-skip on A[r,i] exactly like
- *  Matrix::matmulTN), the golden kernel matmulTNAcc() is checked
- *  against. */
-void matmulTNAccNaive(const double* a, size_t rows, size_t acols,
-                      size_t lda, const double* b, size_t bcols, size_t ldb,
-                      double* c, size_t ldc);
-
-/**
  * Segment-blocked dW reduction: one call covers a whole contiguous
  * segment run. A and B are the packed [sum(seg_rows), acols/bcols]
  * operands; segment s spans the next seg_rows[s] rows of both. For every
@@ -107,22 +83,30 @@ void matmulTNAccNaive(const double* a, size_t rows, size_t acols,
  * local register (terms in ascending r, separate mul/add roundings) and
  * folds it in with a single add, and finally stores ONCE — the exact
  * per-element rounding chain of `c += matmulTN(a_seg, b_seg)` per segment
- * (and, for one-row segments, of matmulTNAcc: a one-row partial is a
- * single product, so 0 + p == p and C + (+0) == C + (-0) == C under the
- * no--0.0-in-C contract). Replaces the per-segment load/add/store C
- * traffic of the batched backward with one C pass per pack. Same
- * finite-input / no -0.0-in-C contract as matmulTNAcc; dispatched with a
- * startup self-check against the composed per-segment naive kernels and
- * demoted on mismatch.
+ * (and, for one-row segments, of accumulating straight into C: a one-row
+ * partial is a single product, so 0 + p == p and C + (+0) == C + (-0) == C
+ * under the no--0.0-in-C contract). Replaces the per-segment load/add/store C
+ * traffic of the batched backward with one C pass per pack. With one
+ * segment of t rows on a zeroed C it is `Matrix::matmulTN` byte for byte
+ * (a partial seeded at +0.0 never becomes -0.0), which is how the
+ * attention backward computes dV and dK.
+ *
+ * Inputs must be finite and C must hold no -0.0 entries (both hold for
+ * every gradient buffer: they start zeroed and accumulate sums, which
+ * cannot produce -0.0 under round-to-nearest). Dispatches to an 8-lane
+ * (AVX-512: 8-, 4- and 1-row x 1-vector tiles) or 4-lane (AVX2: 4- and
+ * 1-row tiles) tier of one body, column tails on the narrower width and
+ * then at 1 lane; each tier is self-checked at startup against the
+ * composed per-segment naive kernels and demoted on mismatch.
  */
 void matmulTNSegBlocked(const double* a, size_t lda, const double* b,
                         size_t ldb, const size_t* seg_rows, size_t nsegs,
                         size_t acols, size_t bcols, double* c, size_t ldc);
 
 /** The frozen composed reference for matmulTNSegBlocked: per segment,
- *  the matmulTN chain from zero then one add into C (multi-row) or the
- *  matmulTNAccNaive direct accumulation (one-row) — mirroring the batched
- *  backward's pre-seg-blocked per-segment dispatch. */
+ *  the matmulTN chain from zero then one add into C (multi-row) or a
+ *  direct zero-skipping accumulation into C (one-row) — mirroring the
+ *  batched backward's pre-seg-blocked per-segment dispatch. */
 void matmulTNSegBlockedNaive(const double* a, size_t lda, const double* b,
                              size_t ldb, const size_t* seg_rows,
                              size_t nsegs, size_t acols, size_t bcols,
@@ -147,7 +131,6 @@ struct KernelTiers
 {
     const char* matmul;
     const char* matmul_nt;
-    const char* matmul_tn_acc;
     const char* matmul_tn_seg;
     const char* adam; ///< Adam::stepClipped's update pass
 };
@@ -162,8 +145,7 @@ KernelTiers kernelTiers();
 size_t kernelTierDemotions();
 
 /** Records one CPU-supported tier its startup self-check rejected; called
- *  by the dispatchers of kernels outside matrix.cpp (attention core,
- *  Adam). */
+ *  by the dispatchers of kernels outside matrix.cpp (Adam). */
 void noteTierDemotion();
 
 } // namespace nnkernel

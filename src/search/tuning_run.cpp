@@ -45,7 +45,6 @@ exportKernelTiers(obs::MetricsRegistry& metrics)
     const nnkernel::KernelTiers tiers = nnkernel::kernelTiers();
     metrics.setLabel("nn_kernel_matmul", tiers.matmul, ch);
     metrics.setLabel("nn_kernel_matmul_nt", tiers.matmul_nt, ch);
-    metrics.setLabel("nn_kernel_matmul_tn_acc", tiers.matmul_tn_acc, ch);
     metrics.setLabel("nn_kernel_matmul_tn_seg", tiers.matmul_tn_seg, ch);
     metrics.setLabel("nn_kernel_adam", tiers.adam, ch);
     // CPU-supported tiers the startup self-check rejected. Zero on a

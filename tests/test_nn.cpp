@@ -195,11 +195,13 @@ TEST(Matrix, MatmulNTMatchesNaiveKernelBitwise)
     }
 }
 
-TEST(Matrix, MatmulTNAccMatchesMatmulTNBitwise)
+TEST(Matrix, OneSegmentSegBlockedMatchesMatmulTNBitwise)
 {
-    // The accumulating raw kernel behind the per-segment dW partials must
-    // replicate Matrix::matmulTN's loop order (including the zero-skip)
-    // exactly: zeroed partial + accumulate == fresh matmulTN.
+    // The attention backward's dV and dK contract: one t-row segment
+    // through the dispatched seg-blocked kernel on a zeroed C equals a
+    // fresh Matrix::matmulTN bit for bit, including its zero-skip (a
+    // partial seeded at +0.0 never becomes -0.0, so skipping a zero term
+    // changes no byte).
     Rng rng(213);
     for (const auto [rows, acols, bcols] :
          {std::array<size_t, 3>{1, 1, 1}, {4, 5, 3}, {10, 64, 64},
@@ -209,17 +211,15 @@ TEST(Matrix, MatmulTNAccMatchesMatmulTNBitwise)
         a.at(rows / 2, acols / 2) = 0.0; // exercise the zero-skip
         const Matrix b = Matrix::randn(rows, bcols, rng, 1.0);
         const Matrix ref = Matrix::matmulTN(a, b);
-        Matrix acc(acols, bcols);
-        nnkernel::matmulTNAcc(a.row(0), rows, acols, acols, b.row(0),
-                              bcols, bcols, acc.row(0), bcols);
-        // The production contract: a zeroed partial + one accumulation
-        // pass == a fresh Matrix::matmulTN, bit for bit. (Accumulating a
-        // second pass on top is NOT equivalent to ref+ref — each term
-        // rounds against the running sum — which is exactly why the
-        // batched backward builds one zeroed partial per segment.)
-        EXPECT_EQ(std::memcmp(ref.data().data(), acc.data().data(),
+        Matrix fast(acols, bcols);
+        nnkernel::matmulTNSegBlocked(a.row(0), acols, b.row(0), bcols,
+                                     &rows, 1, acols, bcols, fast.row(0),
+                                     bcols);
+        EXPECT_EQ(std::memcmp(ref.data().data(), fast.data().data(),
                               acols * bcols * sizeof(double)),
-                  0);
+                  0)
+            << "diverged at [" << rows << "x" << acols << "]^T * [" << rows
+            << "x" << bcols << "]";
     }
 }
 
@@ -297,7 +297,7 @@ TEST(Matrix, MatmulTNSegBlockedChunksLargePacksBitwise)
     }
 }
 
-TEST(Matrix, SegBlockedAndTNAccNegativeZeroContract)
+TEST(Matrix, SegBlockedNegativeZeroContract)
 {
     // The naive references skip A elements that compare equal to zero —
     // including -0.0. That skip is byte-safe only because a partial sum
@@ -336,16 +336,52 @@ TEST(Matrix, SegBlockedAndTNAccNegativeZeroContract)
                   0)
             << "seg kernel -0.0 contract broke on pass " << pass;
     }
-    Matrix acc_fast(acols, bcols);
-    Matrix acc_naive(acols, bcols);
-    nnkernel::matmulTNAcc(a.row(0), rows, acols, acols, b.row(0), bcols,
-                          bcols, acc_fast.row(0), bcols);
-    nnkernel::matmulTNAccNaive(a.row(0), rows, acols, acols, b.row(0),
-                               bcols, bcols, acc_naive.row(0), bcols);
-    EXPECT_EQ(std::memcmp(acc_fast.data().data(), acc_naive.data().data(),
+    // The one-segment contract of the attention backward on the same
+    // signed-zero-laced A: a zeroed C plus one t-row segment equals
+    // Matrix::matmulTN, which skips every +/-0.0 term.
+    const Matrix ref = Matrix::matmulTN(a, b);
+    Matrix one(acols, bcols);
+    nnkernel::matmulTNSegBlocked(a.row(0), acols, b.row(0), bcols, &rows, 1,
+                                 acols, bcols, one.row(0), bcols);
+    EXPECT_EQ(std::memcmp(one.data().data(), ref.data().data(),
                           acols * bcols * sizeof(double)),
               0)
-        << "TNAcc -0.0 contract broke";
+        << "one-segment -0.0 contract broke";
+}
+
+TEST(Matrix, KernelTiersPassTheirSelfChecks)
+{
+    // Every vector tier the CPU supports must pass its startup
+    // byte-identity self-check: a tier a toolchain broke (say, by
+    // contracting the explicit mul+add into FMA) falls back to a slower
+    // one and everything else stays green, so the demotion count is the
+    // only place it shows.
+    EXPECT_EQ(nnkernel::kernelTierDemotions(), 0u);
+    const nnkernel::KernelTiers tiers = nnkernel::kernelTiers();
+    auto expectOneOf = [](const char* kernel, const char* tier,
+                          std::vector<std::string> names) {
+        EXPECT_TRUE(std::find(names.begin(), names.end(), tier) !=
+                    names.end())
+            << kernel << " reports tier '" << tier << "'";
+    };
+    expectOneOf("matmul", tiers.matmul, {"avx512", "avx2", "scalar"});
+    expectOneOf("matmul_nt", tiers.matmul_nt, {"avx512", "avx2", "naive"});
+    expectOneOf("matmul_tn_seg", tiers.matmul_tn_seg,
+                {"avx512", "avx2", "naive"});
+    expectOneOf("adam", tiers.adam, {"avx512", "composed"});
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+    // With no demotion, the widest width the CPU supports is the one used
+    // (GCC builds compile both vector widths).
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("avx512f")) {
+        EXPECT_STREQ(tiers.matmul, "avx512");
+        EXPECT_STREQ(tiers.matmul_nt, "avx512");
+        EXPECT_STREQ(tiers.matmul_tn_seg, "avx512");
+    } else if (__builtin_cpu_supports("avx2")) {
+        EXPECT_STREQ(tiers.matmul, "avx2");
+        EXPECT_STREQ(tiers.matmul_nt, "avx2");
+        EXPECT_STREQ(tiers.matmul_tn_seg, "avx2");
+    }
+#endif
 }
 
 TEST(SegmentTableAlias, AliasedSegmentsShareRows)
