@@ -204,6 +204,80 @@ TEST(TrainingIdentity, ChainedRoundsMatchReference)
 }
 
 // ---------------------------------------------------------------------------
+// Frozen training bytes: the identity tests above compare train() with
+// trainReference(), so a change to scaffolding both share would move both
+// sides together. These pin the absolute result instead: an FNV-1a hash of
+// getParams() and the bits of the returned loss after two epochs on fixed
+// records, for every learned model and both PaCM ablations.
+
+uint64_t
+paramsHash(const std::vector<double>& params)
+{
+    uint64_t h = 1469598103934665603ull;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(params.data());
+    for (size_t i = 0; i < params.size() * sizeof(double); ++i) {
+        h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+    return h;
+}
+
+template <typename Model, typename... Args>
+void
+expectFrozenTraining(uint64_t params_hash, uint64_t loss_bits,
+                     const Args&... args)
+{
+    const auto records = makeRecords(96, /*n_tasks=*/6, /*seed=*/61);
+    for (const bool reference : {false, true}) {
+        Model model(args...);
+        const double loss = reference ? model.trainReference(records, 2)
+                                      : model.train(records, 2);
+        uint64_t bits = 0;
+        std::memcpy(&bits, &loss, sizeof(bits));
+        const uint64_t hash = paramsHash(model.getParams());
+        const char* path = reference ? " trainReference" : " train";
+        EXPECT_EQ(hash, params_hash)
+            << model.name() << path << std::hex << " params hash 0x" << hash;
+        EXPECT_EQ(bits, loss_bits)
+            << model.name() << path << std::hex << " loss bits 0x" << bits;
+    }
+}
+
+TEST(FrozenTraining, PaCM)
+{
+    expectFrozenTraining<PaCMModel>(0x7738e7649d58921aull,
+                                    0x3f74137904979cb9ull,
+                                    DeviceSpec::a100(), 3);
+}
+
+TEST(FrozenTraining, PaCMWithoutStatementFeatures)
+{
+    expectFrozenTraining<PaCMModel>(
+        0xdae3aee240f7c6e1ull, 0x3f913db9c0efd93eull, DeviceSpec::a100(), 5,
+        PaCMConfig{.use_statement_features = false});
+}
+
+TEST(FrozenTraining, PaCMWithoutDataflowFeatures)
+{
+    expectFrozenTraining<PaCMModel>(
+        0xc9769fe26558cbb0ull, 0x3f746ba459e5af0eull, DeviceSpec::a100(), 7,
+        PaCMConfig{.use_dataflow_features = false});
+}
+
+TEST(FrozenTraining, TenSetMlp)
+{
+    expectFrozenTraining<MlpCostModel>(0x8ea1e1b43085e068ull,
+                                       0x3f72bd0bcb33e913ull,
+                                       DeviceSpec::a100(), 9);
+}
+
+TEST(FrozenTraining, Tlp)
+{
+    expectFrozenTraining<TlpCostModel>(0x88c185f9ee7231fbull,
+                                       0x3f8d67bcd4770614ull,
+                                       DeviceSpec::a100(), 11);
+}
+
+// ---------------------------------------------------------------------------
 // Cross-group task batching: train() pools task_batch groups into one
 // forward/backward with one deferred optimizer step, and must stay
 // byte-identical to trainReference at the same knob.
