@@ -11,10 +11,14 @@
  *    deterministic trace and metrics from the session log alone.
  *
  * Reported (and optionally gated): the wall-clock overhead of running
- * with observability on. The default gate of 25% only catches gross
- * regressions — wall time on shared CI machines is too noisy for a tight
- * bound (the repo convention; see micro_overhead). Set
- * PRUNER_OBS_GATE_PCT to tighten it locally (the design target is <3%).
+ * with observability on, as the median of the on/off ratios of
+ * [repeats] interleaved off/on pairs that alternate which run goes
+ * first, so the gate measures observability rather than a noisy
+ * neighbour during one side's block of runs. The default gate of 25%
+ * only catches gross regressions — wall time on shared CI machines is
+ * too noisy for a tight bound (the repo convention; see micro_overhead).
+ * Set PRUNER_OBS_GATE_PCT to tighten it locally (the design target is
+ * <3%).
  *
  *   ./obs_overhead [repeats]
  */
@@ -136,15 +140,35 @@ runOnce(int workers, bool with_obs, SessionRecorder* recorder = nullptr)
     return out;
 }
 
-double
-medianWall(int workers, bool with_obs, size_t repeats)
+/** Wall-clock of obs off vs on, timed as @p pairs back-to-back off/on
+ *  pairs that alternate which run goes first, so a host hiccup lands in
+ *  one pair instead of one whole side. */
+struct WallPairs
 {
-    std::vector<double> walls;
-    walls.reserve(repeats);
-    for (size_t i = 0; i < repeats; ++i) {
-        walls.push_back(runOnce(workers, with_obs).wall_s);
+    double off_s = 0.0; ///< median obs-off wall
+    double on_s = 0.0;  ///< median obs-on wall
+    double ratio = 1.0; ///< median of the per-pair on/off ratios
+};
+
+WallPairs
+pairedWall(int workers, size_t pairs)
+{
+    std::vector<double> offs, ons, ratios;
+    for (size_t i = 0; i < pairs; ++i) {
+        double off = 0.0, on = 0.0;
+        if (i % 2 == 0) {
+            off = runOnce(workers, false).wall_s;
+            on = runOnce(workers, true).wall_s;
+        } else {
+            on = runOnce(workers, true).wall_s;
+            off = runOnce(workers, false).wall_s;
+        }
+        offs.push_back(off);
+        ons.push_back(on);
+        ratios.push_back(off > 0.0 ? on / off : 1.0);
     }
-    return bench::median(std::move(walls));
+    return {bench::median(std::move(offs)), bench::median(std::move(ons)),
+            bench::median(std::move(ratios))};
 }
 
 } // namespace
@@ -210,13 +234,11 @@ main(int argc, char** argv)
     }
 
     // --- Wall-clock overhead ---------------------------------------------
-    const double off_wall = medianWall(2, false, repeats);
-    const double on_wall = medianWall(2, true, repeats);
-    const double overhead_pct =
-        off_wall > 0.0 ? (on_wall / off_wall - 1.0) * 100.0 : 0.0;
+    const WallPairs wall = pairedWall(2, repeats);
+    const double overhead_pct = (wall.ratio - 1.0) * 100.0;
     std::printf("wall: obs off %.3f s, obs on %.3f s, overhead %+.2f%% "
-                "(median of %zu)\n",
-                off_wall, on_wall, overhead_pct, repeats);
+                "(median of %zu interleaved off/on pair ratios)\n",
+                wall.off_s, wall.on_s, overhead_pct, repeats);
 
     double gate_pct = 25.0; // gross-regression catch; wall time is noisy
     if (const char* env_gate = std::getenv("PRUNER_OBS_GATE_PCT")) {

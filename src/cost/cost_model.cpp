@@ -2,14 +2,193 @@
 
 #include <algorithm>
 #include <functional>
-#include <span>
 #include <unordered_map>
 
+#include "core/symbols.hpp"
 #include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
-#include "support/logging.hpp"
 
 namespace pruner {
+
+namespace {
+// The online fine-tuning recipe every learned model shares: Adam at this
+// rate, the gradient clipped to this global norm before each step, and at
+// most this many records per LambdaRank group per epoch.
+constexpr double kLearningRate = 1e-3;
+constexpr double kClipNorm = 5.0;
+constexpr size_t kGroupCap = 48;
+} // namespace
+
+size_t
+FeatureMemo::appendRecord(size_t n, size_t cols)
+{
+    const size_t row0 = rows.rows();
+    rows.resize(row0 + n, cols);
+    segs.append(n);
+    return row0;
+}
+
+CostModel::CostModel(const DeviceSpec& device, uint64_t seed)
+    : device_(device), rng_(seed)
+{
+}
+
+std::vector<double>
+CostModel::predict(const SubgraphTask& task,
+                   std::span<const Schedule> candidates) const
+{
+    std::vector<double> scores(candidates.size());
+    predictInto(task, candidates, threadLocalWorkspace(), scores.data());
+    return scores;
+}
+
+std::vector<double>
+CostModel::predictReference(const SubgraphTask& task,
+                            std::span<const Schedule> candidates) const
+{
+    std::vector<double> scores;
+    scores.reserve(candidates.size());
+    for (const auto& sch : candidates) {
+        scores.push_back(scoreOne(task, sch));
+    }
+    return scores;
+}
+
+std::vector<double>
+CostModel::getParams()
+{
+    return flattenParams(paramRefs());
+}
+
+void
+CostModel::setParams(const std::vector<double>& flat)
+{
+    unflattenParams(paramRefs(), flat);
+}
+
+void
+CostModel::countInference(const FeaturePack& pack) const
+{
+    size_t pack_rows = 0, segments = 0, alias_segments = 0;
+    for (size_t b = 0; b < kMaxFeatureBranches; ++b) {
+        if (pack.rows[b] != nullptr) {
+            pack_rows += pack.rows[b]->rows();
+            segments += pack.segs[b]->count();
+            alias_segments += pack.segs[b]->aliasCount();
+        }
+    }
+    obs::counterAdd(obs_counters_.infer_batches);
+    obs::counterAdd(obs_counters_.infer_candidates, pack.count);
+    obs::counterAdd(obs_counters_.infer_pack_rows, pack_rows);
+    obs::counterAdd(obs_counters_.infer_segments, segments);
+    obs::counterAdd(obs_counters_.infer_alias_segments, alias_segments);
+}
+
+double
+CostModel::train(const std::vector<MeasuredRecord>& records, int epochs)
+{
+    return runTraining(records, epochs, /*reference=*/false);
+}
+
+double
+CostModel::trainReference(const std::vector<MeasuredRecord>& records,
+                          int epochs)
+{
+    return runTraining(records, epochs, /*reference=*/true);
+}
+
+double
+CostModel::runTraining(const std::vector<MeasuredRecord>& records,
+                       int epochs, bool reference)
+{
+    if (records.size() < 2) {
+        return 0.0;
+    }
+    Adam adam(paramRefs(), kLearningRate);
+    adam.zeroGrad();
+
+    // Per-record feature memo shared by every epoch's scoring and fitting:
+    // one extraction per record for the whole run. The scores (and so the
+    // whole training trajectory) are byte-identical to re-extracting and
+    // scoring one record at a time.
+    FeatureMemos memo;
+    {
+        SymbolSet sym;
+        for (const auto& rec : records) {
+            memoRecord(rec, sym, memo);
+        }
+    }
+    Workspace ws;
+    // Gather a subset's memo rows into one pack per branch (a fresh
+    // workspace pass: the pack and everything after it live until the
+    // next group's gather).
+    auto gather = [&](const std::vector<size_t>& subset) {
+        ws.reset();
+        FeaturePack pack;
+        pack.count = subset.size();
+        for (size_t b = 0; b < kMaxFeatureBranches; ++b) {
+            const FeatureMemo& m = memo[b];
+            if (m.segs.count() == 0) {
+                continue; // a branch this model does not read
+            }
+            Matrix& rows = ws.alloc(0, m.rows.cols());
+            SegmentTable& segs = ws.allocSegments();
+            for (size_t idx : subset) {
+                rows.appendRows(m.rows, m.segs.begin(idx), m.segs.rows(idx));
+                segs.append(m.segs.rows(idx));
+            }
+            pack.rows[b] = &rows;
+            pack.segs[b] = &segs;
+        }
+        return pack;
+    };
+
+    if (!reference) {
+        // Scoring runs the caching forward; the fit reuses its
+        // activations.
+        auto infer_scores = [&](const std::vector<size_t>& subset,
+                                std::vector<double>& out) {
+            const FeaturePack pack = gather(subset);
+            out.resize(subset.size());
+            scoreBatch(pack, ws, out.data());
+        };
+        auto fit_batch = [&](const std::vector<double>& grads) {
+            fitBatch(grads, ws);
+        };
+        auto on_batch_end = [&]() { adam.stepClipped(kClipNorm); };
+        return trainRankingLoop(records, epochs, kGroupCap, rng_,
+                                infer_scores, fit_batch, on_batch_end,
+                                obs_counters_);
+    }
+
+    // Frozen pre-batching path: same memo + batched scoring, per-record
+    // fits (exactly the train() of the batched-inference engine era).
+    auto infer_scores = [&](const std::vector<size_t>& subset) {
+        const FeaturePack pack = gather(subset);
+        std::vector<double> scores(subset.size());
+        forwardBatch(pack, ws, scores.data());
+        return scores;
+    };
+    auto fit_one = [&](size_t idx, double dscore) {
+        std::array<Matrix, kMaxFeatureBranches> feats;
+        for (size_t b = 0; b < kMaxFeatureBranches; ++b) {
+            const FeatureMemo& m = memo[b];
+            if (m.segs.count() > 0) {
+                feats[b] = m.rows.sliceRows(m.segs.begin(idx),
+                                            m.segs.rows(idx));
+            }
+        }
+        fitReference(feats, dscore);
+    };
+    auto on_batch_end = [&]() {
+        adam.clipGradNorm(kClipNorm);
+        adam.step();
+        adam.zeroGrad();
+    };
+    return trainRankingLoopReference(records, epochs, kGroupCap, rng_,
+                                     infer_scores, fit_one, on_batch_end);
+}
 
 void
 CostModel::bindMetrics(obs::MetricsRegistry* metrics)
@@ -59,108 +238,40 @@ trainRankingLoop(
     Rng& rng,
     const std::function<void(const std::vector<size_t>&,
                              std::vector<double>&)>& infer_scores,
-    const std::function<void(const std::vector<size_t>&,
-                             const std::vector<double>&)>& fit_batch,
+    const std::function<void(const std::vector<double>&)>& fit_batch,
     const std::function<void()>& on_batch_end,
-    const CostModel::ModelObsCounters& counters, size_t task_batch)
+    const CostModel::ModelObsCounters& counters)
 {
-    if (task_batch < 1) {
-        task_batch = 1;
-    }
     auto groups = detail::groupByTask(records);
     double last_epoch_loss = 0.0;
-    // Sub-pack record budget: small groups pool together (amortising the
-    // per-call batched-pass overhead), while a group-cap-sized group
-    // forms its own sub-pack whose activations fit L2.
-    constexpr size_t kPoolRecordBudget = 64;
-    // Loop-level buffers, reused across task batches and epochs.
-    std::vector<size_t> pooled;
-    std::vector<size_t> subpack;
-    std::vector<size_t> group_sizes;
-    std::vector<double> scores, latencies, dy_pack;
+    // Loop-level buffers, reused across groups and epochs.
+    std::vector<size_t> subset;
+    std::vector<double> scores, latencies;
     LossResult loss;
     LossScratch scratch;
     for (int epoch = 0; epoch < epochs; ++epoch) {
         rng.shuffle(groups);
         double epoch_loss = 0.0;
         size_t batches = 0;
-        size_t g = 0;
-        while (g < groups.size()) {
-            pooled.clear();
-            group_sizes.clear();
-            // Collect up to task_batch eligible groups, shuffling each
-            // exactly when it is collected — the reference loop's RNG
-            // order. Sub-two-record groups skip without consuming a pool
-            // slot (nor RNG draws, matching the reference).
-            while (g < groups.size() && group_sizes.size() < task_batch) {
-                auto& group = groups[g];
-                ++g;
-                if (group.size() < 2) {
-                    continue;
-                }
-                rng.shuffle(group);
-                const size_t take = std::min(group.size(), group_cap);
-                pooled.insert(pooled.end(), group.begin(),
-                              group.begin() + take);
-                group_sizes.push_back(take);
+        for (auto& group : groups) {
+            if (group.size() < 2) {
+                continue;
             }
-            if (group_sizes.empty()) {
-                continue; // trailing ineligible groups
+            rng.shuffle(group);
+            subset.assign(group.begin(),
+                          group.begin() + std::min(group.size(), group_cap));
+            infer_scores(subset, scores);
+            latencies.clear();
+            for (size_t idx : subset) {
+                latencies.push_back(records[idx].latency);
             }
-            // Process the task batch in cache-sized sub-packs of whole
-            // groups. The weights are frozen until on_batch_end, so
-            // splitting the pooled forward/backward at group boundaries
-            // changes no byte of the result — batched scores are
-            // row-independent and the gradients accumulate in group
-            // order either way — while keeping each sub-pack's
-            // activations L2-resident (a single monolithic pack streams
-            // every layer pass from L3 once the task batch outgrows the
-            // cache, which costs far more than it saves in call count).
-            size_t g0 = 0;
-            size_t off = 0;
-            while (g0 < group_sizes.size()) {
-                size_t sub_groups = 0;
-                size_t sub_records = 0;
-                while (g0 + sub_groups < group_sizes.size() &&
-                       (sub_groups == 0 ||
-                        sub_records + group_sizes[g0 + sub_groups] <=
-                            kPoolRecordBudget)) {
-                    sub_records += group_sizes[g0 + sub_groups];
-                    ++sub_groups;
-                }
-                subpack.assign(pooled.begin() + off,
-                               pooled.begin() + off + sub_records);
-                infer_scores(subpack, scores);
-                latencies.clear();
-                for (size_t idx : subpack) {
-                    latencies.push_back(records[idx].latency);
-                }
-                // Per-group loss on the sub-pack's score/latency slices
-                // into the per-group dy pack: each group's rounding
-                // sequence is the unpooled pass's, under the same
-                // (deferred-step) weights.
-                dy_pack.resize(sub_records);
-                size_t sub_off = 0;
-                for (size_t gi = 0; gi < sub_groups; ++gi) {
-                    const size_t take = group_sizes[g0 + gi];
-                    lambdaRankLossInto(
-                        std::span<const double>(scores).subspan(sub_off,
-                                                                take),
-                        std::span<const double>(latencies)
-                            .subspan(sub_off, take),
-                        /*sigma=*/1.0, loss, scratch);
-                    std::copy(loss.grad.begin(), loss.grad.end(),
-                              dy_pack.begin() + sub_off);
-                    epoch_loss += loss.loss;
-                    ++batches;
-                    obs::counterAdd(counters.train_groups);
-                    sub_off += take;
-                }
-                fit_batch(subpack, dy_pack);
-                obs::counterAdd(counters.train_records, subpack.size());
-                g0 += sub_groups;
-                off += sub_records;
-            }
+            lambdaRankLossInto(scores, latencies, /*sigma=*/1.0, loss,
+                               scratch);
+            epoch_loss += loss.loss;
+            ++batches;
+            obs::counterAdd(counters.train_groups);
+            fit_batch(loss.grad);
+            obs::counterAdd(counters.train_records, subset.size());
             on_batch_end();
         }
         last_epoch_loss = batches > 0 ? epoch_loss / batches : 0.0;
@@ -176,18 +287,14 @@ trainRankingLoopReference(
     const std::function<std::vector<double>(const std::vector<size_t>&)>&
         infer_scores,
     const std::function<void(size_t, double)>& fit_one,
-    const std::function<void()>& on_batch_end, size_t task_batch)
+    const std::function<void()>& on_batch_end)
 {
-    if (task_batch < 1) {
-        task_batch = 1;
-    }
     auto groups = detail::groupByTask(records);
     double last_epoch_loss = 0.0;
     for (int epoch = 0; epoch < epochs; ++epoch) {
         rng.shuffle(groups);
         double epoch_loss = 0.0;
         size_t batches = 0;
-        size_t pending = 0;
         for (auto& group : groups) {
             if (group.size() < 2) {
                 continue;
@@ -208,17 +315,9 @@ trainRankingLoopReference(
                     fit_one(subset[i], loss.grad[i]);
                 }
             }
-            // Defer the optimizer step across the task batch — the
-            // pooled loop's step schedule (flushed at epoch end).
-            if (++pending == task_batch) {
-                on_batch_end();
-                pending = 0;
-            }
+            on_batch_end();
             epoch_loss += loss.loss;
             ++batches;
-        }
-        if (pending > 0) {
-            on_batch_end();
         }
         last_epoch_loss = batches > 0 ? epoch_loss / batches : 0.0;
     }

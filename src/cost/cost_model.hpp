@@ -13,6 +13,7 @@
  * differ per model and feed the SimClock.
  */
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <span>
@@ -21,6 +22,7 @@
 
 #include "device/device_spec.hpp"
 #include "ir/task.hpp"
+#include "nn/layers.hpp"
 #include "sched/schedule.hpp"
 #include "support/rng.hpp"
 
@@ -31,6 +33,8 @@ class Counter;
 class MetricsRegistry;
 } // namespace obs
 
+struct SymbolSet;
+
 /** One measured data point (the unit of both online and offline data). */
 struct MeasuredRecord
 {
@@ -39,7 +43,48 @@ struct MeasuredRecord
     double latency = 0.0; ///< measured latency in seconds (finite)
 };
 
-/** Abstract learned cost model. */
+/** Most feature branches a model reads per candidate: PaCM reads two
+ *  (statement, dataflow), TenSetMLP one (statement), TLP one
+ *  (primitive). */
+constexpr size_t kMaxFeatureBranches = 2;
+
+/** Packed feature rows of one batch of candidates, per branch, in pack
+ *  order (segment i belongs to candidate i). A branch the model does not
+ *  read is null. */
+struct FeaturePack
+{
+    std::array<const Matrix*, kMaxFeatureBranches> rows{};
+    std::array<const SegmentTable*, kMaxFeatureBranches> segs{};
+    size_t count = 0; ///< candidates in the batch
+};
+
+/** One branch's rows for every record of a training run, extracted once:
+ *  segment i holds record i's rows. A branch the model does not read
+ *  (including a disabled PaCM branch) stays empty. */
+struct FeatureMemo
+{
+    Matrix rows;
+    SegmentTable segs;
+
+    /** Append a segment of @p n zero rows, @p cols wide, for the next
+     *  record; returns its first row. */
+    size_t appendRecord(size_t n, size_t cols);
+};
+
+using FeatureMemos = std::array<FeatureMemo, kMaxFeatureBranches>;
+
+/**
+ * Abstract learned cost model.
+ *
+ * The public surface (predict, train, parameter snapshots) is the same
+ * for every model, and so is the scaffolding behind it: CostModel owns
+ * the device, the training RNG, the LambdaRank training run (optimizer,
+ * feature memo, per-group pack gather, step style) and the inference
+ * counters. A model supplies only its own parts: its parameters, the
+ * memo rows of one record per feature branch, the batched forward shared
+ * by predictInto(), the trainer's caching forward and batched backward,
+ * and the frozen per-record oracles.
+ */
 class CostModel
 {
   public:
@@ -50,33 +95,41 @@ class CostModel
 
     /** Scores for candidate schedules of one task; higher = faster. Must
      *  be const and reentrant (used concurrently by pool workers inside
-     *  search loops). Every model scores the whole span through its
-     *  batched inference engine — one packed GEMM per layer — and the
+     *  search loops). Scores the whole span through predictInto() on the
+     *  calling thread's workspace — one packed GEMM per layer — and the
      *  result is byte-identical to scoring candidates one at a time, at
-     *  any batch size (the per-candidate reference path each model keeps
-     *  as predictReference()). */
-    virtual std::vector<double>
-    predict(const SubgraphTask& task,
-            std::span<const Schedule> candidates) const = 0;
+     *  any batch size (predictReference()). */
+    std::vector<double> predict(const SubgraphTask& task,
+                                std::span<const Schedule> candidates) const;
+
+    /** Batched scoring into a caller-owned buffer: every candidate's
+     *  feature rows pack into one matrix per branch, each layer runs as
+     *  one GEMM, all intermediates come from @p ws. Zero heap allocations
+     *  once @p ws is warm; byte-identical to predictReference(). @p out
+     *  must hold candidates.size() doubles. */
+    virtual void predictInto(const SubgraphTask& task,
+                             std::span<const Schedule> candidates,
+                             Workspace& ws, double* out) const = 0;
+
+    /** Per-candidate reference path (the pre-batching implementation),
+     *  kept for the identity tests and benches. */
+    std::vector<double>
+    predictReference(const SubgraphTask& task,
+                     std::span<const Schedule> candidates) const;
 
     /** Train on measured records (grouped by task internally). Returns
-     *  the final average ranking loss. The learned models route this
-     *  through the batched segment-aware trainer (one GEMM per layer per
-     *  LambdaRank group, forward and backward); weights after every
-     *  epoch are byte-identical to trainReference(). */
-    virtual double train(const std::vector<MeasuredRecord>& records,
-                         int epochs) = 0;
+     *  the final average ranking loss. Each LambdaRank group runs as one
+     *  segment-packed forward and backward (trainRankingLoop); weights
+     *  after every epoch are byte-identical to trainReference(). */
+    double train(const std::vector<MeasuredRecord>& records, int epochs);
 
     /** The frozen pre-batching training path (per-record forward +
-     *  backward), kept as the golden reference the batched trainer is
-     *  differentially tested against. Consumes the model's RNG exactly
-     *  like train(), so compare fresh clones — not chained calls.
-     *  Models without a separate reference path train normally. */
-    virtual double trainReference(const std::vector<MeasuredRecord>& records,
-                                  int epochs)
-    {
-        return train(records, epochs);
-    }
+     *  backward, trainRankingLoopReference), kept as the golden reference
+     *  the batched trainer is differentially tested against. Consumes
+     *  the model's RNG exactly like train(), so compare fresh clones —
+     *  not chained calls. */
+    double trainReference(const std::vector<MeasuredRecord>& records,
+                          int epochs);
 
     /** Simulated seconds of exploration cost per scored candidate. */
     virtual double evalCostPerCandidate() const = 0;
@@ -85,20 +138,19 @@ class CostModel
     virtual double trainCostPerRound() const = 0;
 
     /** Flat parameter snapshot (MoA / pre-train hand-off). */
-    virtual std::vector<double> getParams() = 0;
+    std::vector<double> getParams();
 
     /** Restore a snapshot produced by getParams() of the same model. */
-    virtual void setParams(const std::vector<double>& flat) = 0;
+    void setParams(const std::vector<double>& flat);
 
     /** Deep copy. */
     virtual std::unique_ptr<CostModel> clone() const = 0;
 
     /** The RNG that train() draws from (group shuffling / subset
-     *  sampling), or nullptr for models without one. Checkpoint/resume
-     *  snapshots and restores it so a resumed run's training stream
-     *  continues exactly where the original left off — weights alone
-     *  don't capture that lineage. */
-    virtual Rng* trainingRng() { return nullptr; }
+     *  sampling). Checkpoint/resume snapshots and restores it so a
+     *  resumed run's training stream continues exactly where the original
+     *  left off — weights alone don't capture that lineage. */
+    Rng* trainingRng() { return &rng_; }
 
     /** Handles into a bound MetricsRegistry (all null when unbound; writes
      *  go through null-safe helpers). Deterministic channel: inference and
@@ -122,22 +174,61 @@ class CostModel
      *  identical between sync and async runs. */
     void bindMetrics(obs::MetricsRegistry* metrics);
 
-    /**
-     * Cross-group LambdaRank batching knob: train() fits up to @p n task
-     * groups per optimizer step (one pooled forward/backward per task
-     * batch), and trainReference() defers its optimizer step across the
-     * same @p n groups — so the two stay byte-identical at ANY setting.
-     * The default (1) is byte- and RNG-stream-frozen to the pre-batching
-     * engine: one step per group, exactly the golden fixtures' stream.
-     * Values < 1 clamp to 1. A clone() carries the knob (the async
-     * trainer's back model must train like the front model it replaces).
-     */
-    void setTrainTaskBatch(size_t n) { train_task_batch_ = n < 1 ? 1 : n; }
-    size_t trainTaskBatch() const { return train_task_batch_; }
-
   protected:
+    /** @param device  platform whose features/labels this model sees
+     *  @param seed    seeds the RNG behind weight init and training */
+    CostModel(const DeviceSpec& device, uint64_t seed);
+
+    /** Every trainable parameter, in snapshot order. */
+    virtual std::vector<ParamRef> paramRefs() = 0;
+
+    /** Frozen per-candidate score (the predictReference() oracle). */
+    virtual double scoreOne(const SubgraphTask& task,
+                            const Schedule& sch) const = 0;
+
+    /** Append @p rec's rows to @p memo, one segment per feature branch
+     *  the model reads (the others stay empty). @p sym is scratch. */
+    virtual void memoRecord(const MeasuredRecord& rec, SymbolSet& sym,
+                            FeatureMemos& memo) const = 0;
+
+    /** Pooled batched forward over @p pack -> pack.count scores: the
+     *  engine behind predictInto() and the reference trainer's scoring. */
+    virtual void forwardBatch(const FeaturePack& pack, Workspace& ws,
+                              double* out) const = 0;
+
+    /** The trainer's scoring forward: same bytes as forwardBatch, but
+     *  every layer boundary stays cached so the following fitBatch runs
+     *  the backward without a second forward over the pack. */
+    virtual void scoreBatch(const FeaturePack& pack, Workspace& ws,
+                            double* out) = 0;
+
+    /** One segment-aware batched backward from the last scoreBatch's
+     *  caches: byte-identical gradient accumulation to calling
+     *  fitReference per record in pack order. Zero-gradient records stay
+     *  in the pack with a zero dy row: every partial they touch is
+     *  exactly +0.0, so the adds are byte-level no-ops — the same bytes
+     *  as the reference loop's skip. */
+    virtual void fitBatch(const std::vector<double>& dscores,
+                          Workspace& ws) = 0;
+
+    /** Frozen per-record forward+backward (the pre-batching fit) from one
+     *  record's memo rows per branch (empty for a branch not read). */
+    virtual void
+    fitReference(const std::array<Matrix, kMaxFeatureBranches>& feats,
+                 double dscore) = 0;
+
+    /** Count one predictInto() batch on the model_infer_* counters. */
+    void countInference(const FeaturePack& pack) const;
+
+    DeviceSpec device_;
+    Rng rng_;
     ModelObsCounters obs_counters_;
-    size_t train_task_batch_ = 1;
+
+  private:
+    /** The one training run behind train() (@p reference false) and
+     *  trainReference() (true). */
+    double runTraining(const std::vector<MeasuredRecord>& records,
+                       int epochs, bool reference);
 };
 
 namespace detail {
@@ -153,39 +244,23 @@ groupByTask(const std::vector<MeasuredRecord>& records);
  *
  * Identical group/shuffle/loss structure (and RNG consumption) to
  * trainRankingLoopReference, but each group's fit runs as ONE
- * segment-packed batch: @p fit_batch receives the sampled subset (in pack
- * order) and the per-record dL/dscore, and must make zero-gradient
- * records byte-level no-ops — either by skipping them like the reference
- * loop skips its fit_one calls, or by carrying them with a zero dy row
- * (all their partials are exactly +0.0; the models do the latter so the
- * backward can reuse the scoring pass's activations). infer_scores and
- * fit_batch are always called as a pair per group, so scoring state may
- * carry into the fit. All loop-level buffers (subset, scores, latencies,
- * loss scratch) are reused across groups and epochs, so steady-state
- * epochs allocate nothing at the loop level.
- *
- * With @p task_batch > 1, up to that many eligible groups pool into ONE
- * infer_scores / fit_batch / on_batch_end round per optimizer step: each
- * group is shuffled exactly when it is collected (the reference loop's
- * RNG order), the pooled subset concatenates the per-group subsets in
- * collection order, and the loss runs per group on the score/latency
- * slices into a per-group dy pack — so every group's rounding sequence is
- * bit-exact to the task_batch = 1 pass under the same (deferred) weights.
- * Groups of fewer than two records are skipped without consuming a pool
- * slot; a trailing short pool still fits and steps.
+ * segment-packed batch: @p infer_scores runs the caching forward over the
+ * sampled subset (pack order) into a reused output buffer (resized to
+ * subset.size()), and @p fit_batch receives the per-record dL/dscore and
+ * runs the backward from that forward's activations. It must make
+ * zero-gradient records byte-level no-ops — the models carry them with a
+ * zero dy row, whose partials are all exactly +0.0. infer_scores and
+ * fit_batch are always called as a pair per group, then @p on_batch_end
+ * steps the optimizer once. All loop-level buffers (subset, scores,
+ * latencies, loss scratch) are reused across groups and epochs, so
+ * steady-state epochs allocate nothing at the loop level.
  *
  * @param records  measured data
  * @param epochs   passes over the grouped data
  * @param group_cap  max candidates per group per epoch (LambdaRank is
  *                   quadratic in group size)
  * @param rng      sampling source
- * @param infer_scores  cache-free scoring of a subset (pack order; may
- *                      span groups) into a reused output buffer (resized
- *                      to subset.size())
- * @param fit_batch  one batched forward+backward over the subset
- * @param on_batch_end  apply the optimizer step
  * @param counters  optional training counters (null members are no-ops)
- * @param task_batch  groups pooled per optimizer step (clamped to >= 1)
  * Returns the last epoch's mean per-group loss.
  */
 double trainRankingLoop(
@@ -193,21 +268,16 @@ double trainRankingLoop(
     Rng& rng,
     const std::function<void(const std::vector<size_t>&,
                              std::vector<double>&)>& infer_scores,
-    const std::function<void(const std::vector<size_t>&,
-                             const std::vector<double>&)>& fit_batch,
+    const std::function<void(const std::vector<double>&)>& fit_batch,
     const std::function<void()>& on_batch_end,
-    const CostModel::ModelObsCounters& counters = {},
-    size_t task_batch = 1);
+    const CostModel::ModelObsCounters& counters = {});
 
 /**
  * The frozen pre-batching loop: per-record @p fit_one calls (skipping
- * zero gradients), one record's full forward+backward at a time. Kept
- * verbatim as the golden reference behind every model's trainReference();
- * byte-for-byte the behaviour train() had before the batched backward.
- * With @p task_batch > 1 the optimizer step (@p on_batch_end) defers
- * until that many eligible groups have been fit (flushing at epoch end),
- * mirroring the pooled loop's step schedule so reference and batched
- * weights agree at any knob setting.
+ * zero gradients), one record's full forward+backward at a time, then
+ * one @p on_batch_end per group. Kept verbatim as the golden reference
+ * behind every model's trainReference(); byte-for-byte the behaviour
+ * train() had before the batched backward.
  */
 double trainRankingLoopReference(
     const std::vector<MeasuredRecord>& records, int epochs, size_t group_cap,
@@ -215,6 +285,6 @@ double trainRankingLoopReference(
     const std::function<std::vector<double>(const std::vector<size_t>&)>&
         infer_scores,
     const std::function<void(size_t, double)>& fit_one,
-    const std::function<void()>& on_batch_end, size_t task_batch = 1);
+    const std::function<void()>& on_batch_end);
 
 } // namespace pruner

@@ -23,38 +23,18 @@ class MlpCostModel : public CostModel
     MlpCostModel(const DeviceSpec& device, uint64_t seed);
 
     std::string name() const override { return "TenSetMLP"; }
-    std::vector<double>
-    predict(const SubgraphTask& task,
-            std::span<const Schedule> candidates) const override;
-    double train(const std::vector<MeasuredRecord>& records,
-                 int epochs) override;
-    double trainReference(const std::vector<MeasuredRecord>& records,
-                          int epochs) override;
-    double evalCostPerCandidate() const override;
-    double trainCostPerRound() const override;
-    std::vector<double> getParams() override;
-    void setParams(const std::vector<double>& flat) override;
-    std::unique_ptr<CostModel> clone() const override;
-    Rng* trainingRng() override { return &rng_; }
-
-    /** Batched scoring into a caller-owned buffer: features pack into one
-     *  matrix, every layer runs as one GEMM, all intermediates come from
-     *  @p ws. Zero heap allocations once @p ws is warm; byte-identical to
-     *  predictReference(). @p out must hold candidates.size() doubles. */
     void predictInto(const SubgraphTask& task,
                      std::span<const Schedule> candidates, Workspace& ws,
-                     double* out) const;
-
-    /** Per-candidate reference path (the pre-batching implementation),
-     *  kept for the identity tests and benches. */
-    std::vector<double>
-    predictReference(const SubgraphTask& task,
-                     std::span<const Schedule> candidates) const;
+                     double* out) const override;
+    double evalCostPerCandidate() const override;
+    double trainCostPerRound() const override;
+    std::unique_ptr<CostModel> clone() const override;
 
   private:
     /** Batched-trainer state carried from scoreBatch to fitBatch: the
-     *  activation caches plus (workspace-owned, pointer-stable) segment
-     *  tables of the pack the scores came from. */
+     *  activation caches plus segment tables of the pack the scores came
+     *  from. Every pointer refers into the training run's workspace and
+     *  is read only by the fitBatch that follows its scoreBatch. */
     struct TrainCaches
     {
         BatchActs embed_acts, head_acts;
@@ -62,31 +42,23 @@ class MlpCostModel : public CostModel
         const SegmentTable* unit = nullptr;
     };
 
-    double scoreOne(const SubgraphTask& task, const Schedule& sch) const;
-    /** Pooled batched forward over packed features -> n scores. */
-    void forwardBatch(const Matrix& feats, const SegmentTable& segs,
-                      Workspace& ws, double* out) const;
-    /** Frozen per-record forward+backward (the pre-batching fit). */
-    void fitReference(const Matrix& feats, double dscore);
-    /** The trainer's scoring forward: same bytes as forwardBatch, but
-     *  every layer boundary lands in @p caches so fitBatch can run the
-     *  backward without a second forward over the pack. */
-    void scoreBatch(const Matrix& feats, const SegmentTable& segs,
-                    Workspace& ws, TrainCaches& caches, double* out);
-    /** One segment-aware batched backward from scoreBatch's caches:
-     *  byte-identical gradient accumulation to calling fitReference per
-     *  record in pack order. Zero-gradient records stay in the pack with
-     *  a zero dy row: every partial they touch is exactly +0.0, so the
-     *  adds are byte-level no-ops — the same bytes as the reference
-     *  loop's skip. */
-    void fitBatch(const std::vector<double>& dscores, Workspace& ws,
-                  TrainCaches& caches);
-    std::vector<ParamRef> paramRefs();
+    std::vector<ParamRef> paramRefs() override;
+    double scoreOne(const SubgraphTask& task,
+                    const Schedule& sch) const override;
+    void memoRecord(const MeasuredRecord& rec, SymbolSet& sym,
+                    FeatureMemos& memo) const override;
+    void forwardBatch(const FeaturePack& pack, Workspace& ws,
+                      double* out) const override;
+    void scoreBatch(const FeaturePack& pack, Workspace& ws,
+                    double* out) override;
+    void fitBatch(const std::vector<double>& dscores,
+                  Workspace& ws) override;
+    void fitReference(const std::array<Matrix, kMaxFeatureBranches>& feats,
+                      double dscore) override;
 
-    DeviceSpec device_;
-    Rng rng_;
     Mlp embed_; ///< per-statement encoder
     Mlp head_;  ///< pooled-vector scorer
+    TrainCaches caches_; ///< scoreBatch -> fitBatch, within one step
 };
 
 } // namespace pruner

@@ -1,18 +1,32 @@
 #include "cost/pacm_model.hpp"
 
-#include "nn/optimizer.hpp"
-#include "obs/metrics.hpp"
 #include "support/logging.hpp"
 #include "support/sim_clock.hpp"
 
 namespace pruner {
 
 namespace {
+
 constexpr size_t kHidden = 64;
+
+/** Copy the [n, kHidden] branch pool into columns [col0, col0 + kHidden)
+ *  of the fused head input. */
+void
+copyIntoFused(const Matrix& pooled, size_t col0, Matrix& fused)
+{
+    for (size_t i = 0; i < pooled.rows(); ++i) {
+        const double* p = pooled.row(i);
+        double* f = fused.row(i) + col0;
+        for (size_t c = 0; c < kHidden; ++c) {
+            f[c] = p[c];
+        }
+    }
+}
+
 } // namespace
 
 PaCMModel::PaCMModel(const DeviceSpec& device, uint64_t seed, PaCMConfig cfg)
-    : device_(device), rng_(seed), cfg_(cfg)
+    : CostModel(device, seed), cfg_(cfg)
 {
     PRUNER_CHECK_MSG(cfg_.use_statement_features ||
                          cfg_.use_dataflow_features,
@@ -52,39 +66,47 @@ PaCMModel::scoreOne(const SubgraphTask& task, const Schedule& sch) const
 }
 
 void
-PaCMModel::forwardBatch(const Matrix& stmt_pack,
-                        const SegmentTable& stmt_segs,
-                        const Matrix& flow_pack,
-                        const SegmentTable& flow_segs, size_t n,
-                        Workspace& ws, double* out) const
+PaCMModel::memoRecord(const MeasuredRecord& rec, SymbolSet& sym,
+                      FeatureMemos& memo) const
 {
-    Matrix& fused = ws.allocZero(n, 2 * kHidden);
+    // One symbol extraction per record feeds both branches.
+    extractSymbolsInto(rec.task, rec.sch, sym);
     if (cfg_.use_statement_features) {
-        PRUNER_CHECK(stmt_segs.count() == n);
-        const Matrix& embedded = stmt_embed_.inferBatch(stmt_pack, ws);
-        Matrix& pooled = ws.alloc(n, kHidden);
-        segmentColSum(embedded, stmt_segs, pooled);
-        for (size_t i = 0; i < n; ++i) {
-            const double* p = pooled.row(i);
-            double* f = fused.row(i);
-            for (size_t c = 0; c < kHidden; ++c) {
-                f[c] = p[c];
-            }
-        }
+        const size_t row0 = memo[kStmt].appendRecord(sym.statements.size(),
+                                                     kStatementFeatureDim);
+        writeStatementFeatureRows(sym, rec.task, rec.sch, device_,
+                                  memo[kStmt].rows, row0);
     }
     if (cfg_.use_dataflow_features) {
-        PRUNER_CHECK(flow_segs.count() == n);
-        const Matrix& embedded = flow_embed_.inferBatch(flow_pack, ws);
-        const Matrix& ctx = attn_.inferBatch(embedded, flow_segs, ws);
+        const size_t row0 =
+            memo[kFlow].appendRecord(kDataflowSteps, kDataflowFeatureDim);
+        writeDataflowFeatureRows(sym, rec.task, rec.sch, device_,
+                                 memo[kFlow].rows, row0);
+    }
+}
+
+void
+PaCMModel::forwardBatch(const FeaturePack& pack, Workspace& ws,
+                        double* out) const
+{
+    const size_t n = pack.count;
+    Matrix& fused = ws.allocZero(n, 2 * kHidden);
+    if (cfg_.use_statement_features) {
+        const SegmentTable& segs = *pack.segs[kStmt];
+        PRUNER_CHECK(segs.count() == n);
+        const Matrix& embedded = stmt_embed_.inferBatch(*pack.rows[kStmt], ws);
         Matrix& pooled = ws.alloc(n, kHidden);
-        segmentColMean(ctx, flow_segs, pooled);
-        for (size_t i = 0; i < n; ++i) {
-            const double* p = pooled.row(i);
-            double* f = fused.row(i);
-            for (size_t c = 0; c < kHidden; ++c) {
-                f[kHidden + c] = p[c];
-            }
-        }
+        segmentColSum(embedded, segs, pooled);
+        copyIntoFused(pooled, 0, fused);
+    }
+    if (cfg_.use_dataflow_features) {
+        const SegmentTable& segs = *pack.segs[kFlow];
+        PRUNER_CHECK(segs.count() == n);
+        const Matrix& embedded = flow_embed_.inferBatch(*pack.rows[kFlow], ws);
+        const Matrix& ctx = attn_.inferBatch(embedded, segs, ws);
+        Matrix& pooled = ws.alloc(n, kHidden);
+        segmentColMean(ctx, segs, pooled);
+        copyIntoFused(pooled, kHidden, fused);
     }
     const Matrix& scores = head_.inferBatch(fused, ws);
     for (size_t i = 0; i < n; ++i) {
@@ -134,47 +156,21 @@ PaCMModel::predictInto(const SubgraphTask& task,
                                        seen_blocks);
         }
     }
-    forwardBatch(stmt_pack, stmt_segs, flow_pack, flow_segs,
-                 candidates.size(), ws, out);
-    obs::counterAdd(obs_counters_.infer_batches);
-    obs::counterAdd(obs_counters_.infer_candidates, candidates.size());
-    obs::counterAdd(obs_counters_.infer_pack_rows,
-                    stmt_pack.rows() + flow_pack.rows());
-    obs::counterAdd(obs_counters_.infer_segments,
-                    stmt_segs.count() + flow_segs.count());
-    obs::counterAdd(obs_counters_.infer_alias_segments,
-                    flow_segs.aliasCount());
-}
-
-std::vector<double>
-PaCMModel::predict(const SubgraphTask& task,
-                   std::span<const Schedule> candidates) const
-{
-    std::vector<double> scores(candidates.size());
-    predictInto(task, candidates, threadLocalWorkspace(), scores.data());
-    return scores;
-}
-
-std::vector<double>
-PaCMModel::predictReference(const SubgraphTask& task,
-                            std::span<const Schedule> candidates) const
-{
-    std::vector<double> scores;
-    scores.reserve(candidates.size());
-    for (const auto& sch : candidates) {
-        scores.push_back(scoreOne(task, sch));
-    }
-    return scores;
+    const FeaturePack pack{{&stmt_pack, &flow_pack},
+                           {&stmt_segs, &flow_segs},
+                           candidates.size()};
+    forwardBatch(pack, ws, out);
+    countInference(pack);
 }
 
 void
-PaCMModel::fitReference(const Matrix& stmt_feats, const Matrix& flow_feats,
+PaCMModel::fitReference(const std::array<Matrix, kMaxFeatureBranches>& feats,
                         double dscore)
 {
     Matrix fused(1, 2 * kHidden);
     Matrix stmt_embedded;
     if (cfg_.use_statement_features) {
-        stmt_embedded = stmt_embed_.forward(stmt_feats);
+        stmt_embedded = stmt_embed_.forward(feats[kStmt]);
         const Matrix pooled = stmt_embedded.colSum();
         for (size_t c = 0; c < kHidden; ++c) {
             fused.at(0, c) = pooled.at(0, c);
@@ -182,7 +178,7 @@ PaCMModel::fitReference(const Matrix& stmt_feats, const Matrix& flow_feats,
     }
     Matrix flow_ctx;
     if (cfg_.use_dataflow_features) {
-        flow_ctx = attn_.forward(flow_embed_.forward(flow_feats));
+        flow_ctx = attn_.forward(flow_embed_.forward(feats[kFlow]));
         const Matrix pooled = flow_ctx.colMean();
         for (size_t c = 0; c < kHidden; ++c) {
             fused.at(0, kHidden + c) = pooled.at(0, c);
@@ -217,60 +213,47 @@ PaCMModel::fitReference(const Matrix& stmt_feats, const Matrix& flow_feats,
 }
 
 void
-PaCMModel::scoreBatch(const Matrix& stmt_pack,
-                      const SegmentTable& stmt_segs, const Matrix& flow_pack,
-                      const SegmentTable& flow_segs, size_t n,
-                      Workspace& ws, TrainCaches& caches, double* out)
+PaCMModel::scoreBatch(const FeaturePack& pack, Workspace& ws, double* out)
 {
     // Same computation (and bytes) as forwardBatch, with every
     // intermediate cached for fitBatch.
+    const size_t n = pack.count;
     Matrix& fused = ws.allocZero(n, 2 * kHidden);
     if (cfg_.use_statement_features) {
-        PRUNER_CHECK(stmt_segs.count() == n);
+        const SegmentTable& segs = *pack.segs[kStmt];
+        PRUNER_CHECK(segs.count() == n);
         const Matrix& embedded =
-            stmt_embed_.forwardBatch(stmt_pack, ws, caches.stmt_acts);
+            stmt_embed_.forwardBatch(*pack.rows[kStmt], ws, caches_.stmt_acts);
         Matrix& pooled = ws.alloc(n, kHidden);
-        segmentColSum(embedded, stmt_segs, pooled);
-        for (size_t i = 0; i < n; ++i) {
-            const double* p = pooled.row(i);
-            double* f = fused.row(i);
-            for (size_t c = 0; c < kHidden; ++c) {
-                f[c] = p[c];
-            }
-        }
+        segmentColSum(embedded, segs, pooled);
+        copyIntoFused(pooled, 0, fused);
+        caches_.stmt_segs = &segs;
     }
     if (cfg_.use_dataflow_features) {
-        PRUNER_CHECK(flow_segs.count() == n);
+        const SegmentTable& segs = *pack.segs[kFlow];
+        PRUNER_CHECK(segs.count() == n);
         const Matrix& embedded =
-            flow_embed_.forwardBatch(flow_pack, ws, caches.flow_acts);
+            flow_embed_.forwardBatch(*pack.rows[kFlow], ws, caches_.flow_acts);
         const Matrix& ctx =
-            attn_.forwardBatch(embedded, flow_segs, ws, caches.attn);
+            attn_.forwardBatch(embedded, segs, ws, caches_.attn);
         Matrix& pooled = ws.alloc(n, kHidden);
-        segmentColMean(ctx, flow_segs, pooled);
-        for (size_t i = 0; i < n; ++i) {
-            const double* p = pooled.row(i);
-            double* f = fused.row(i);
-            for (size_t c = 0; c < kHidden; ++c) {
-                f[kHidden + c] = p[c];
-            }
-        }
+        segmentColMean(ctx, segs, pooled);
+        copyIntoFused(pooled, kHidden, fused);
+        caches_.flow_segs = &segs;
     }
     SegmentTable& unit = ws.allocSegments();
     for (size_t i = 0; i < n; ++i) {
         unit.append(1); // the head sees one fused row per record
     }
-    const Matrix& scores = head_.forwardBatch(fused, ws, caches.head_acts);
+    const Matrix& scores = head_.forwardBatch(fused, ws, caches_.head_acts);
     for (size_t i = 0; i < n; ++i) {
         out[i] = scores.at(i, 0);
     }
-    caches.stmt_segs = &stmt_segs;
-    caches.flow_segs = &flow_segs;
-    caches.unit = &unit;
+    caches_.unit = &unit;
 }
 
 void
-PaCMModel::fitBatch(const std::vector<double>& dscores, Workspace& ws,
-                    TrainCaches& caches)
+PaCMModel::fitBatch(const std::vector<double>& dscores, Workspace& ws)
 {
     const size_t n = dscores.size();
     if (n == 0) {
@@ -282,195 +265,30 @@ PaCMModel::fitBatch(const std::vector<double>& dscores, Workspace& ws,
     for (size_t i = 0; i < n; ++i) {
         dy.at(i, 0) = dscores[i];
     }
-    Matrix* dfused = head_.backwardBatch(dy, caches.head_acts,
-                                         *caches.unit, ws,
+    Matrix* dfused = head_.backwardBatch(dy, caches_.head_acts,
+                                         *caches_.unit, ws,
                                          /*need_dx=*/true);
     if (cfg_.use_statement_features) {
-        const SegmentTable& stmt_segs = *caches.stmt_segs;
+        const SegmentTable& stmt_segs = *caches_.stmt_segs;
         PRUNER_CHECK(stmt_segs.count() == n);
         Matrix& dembedded = ws.alloc(stmt_segs.totalRows(), kHidden);
         segmentBroadcast(*dfused, 0, kHidden, stmt_segs, dembedded,
                          /*mean=*/false);
-        stmt_embed_.backwardBatch(dembedded, caches.stmt_acts, stmt_segs,
+        stmt_embed_.backwardBatch(dembedded, caches_.stmt_acts, stmt_segs,
                                   ws, /*need_dx=*/false);
     }
     if (cfg_.use_dataflow_features) {
         // Mean-pool backward: distribute 1/T to every step row.
-        const SegmentTable& flow_segs = *caches.flow_segs;
+        const SegmentTable& flow_segs = *caches_.flow_segs;
         PRUNER_CHECK(flow_segs.count() == n);
         Matrix& dctx = ws.alloc(flow_segs.totalRows(), kHidden);
         segmentBroadcast(*dfused, kHidden, kHidden, flow_segs, dctx,
                          /*mean=*/true);
-        Matrix* dflow = attn_.backwardBatch(dctx, caches.attn, flow_segs,
+        Matrix* dflow = attn_.backwardBatch(dctx, caches_.attn, flow_segs,
                                             ws, /*need_dx=*/true);
-        flow_embed_.backwardBatch(*dflow, caches.flow_acts, flow_segs, ws,
+        flow_embed_.backwardBatch(*dflow, caches_.flow_acts, flow_segs, ws,
                                   /*need_dx=*/false);
     }
-}
-
-double
-PaCMModel::train(const std::vector<MeasuredRecord>& records, int epochs)
-{
-    if (records.size() < 2) {
-        return 0.0;
-    }
-    std::vector<ParamRef> params = paramRefs();
-    Adam adam(params, 1e-3);
-    adam.zeroGrad();
-
-    // Per-record feature memo shared by every epoch's scoring and fitting:
-    // one symbol extraction per record for both branches, instead of two
-    // extractions per record per epoch.
-    Matrix stmt_memo(0, kStatementFeatureDim);
-    SegmentTable stmt_segs;
-    Matrix flow_memo(0, kDataflowFeatureDim);
-    {
-        SymbolSet sym;
-        for (const auto& rec : records) {
-            extractSymbolsInto(rec.task, rec.sch, sym);
-            if (cfg_.use_statement_features) {
-                const size_t row0 = stmt_memo.rows();
-                stmt_memo.resize(row0 + sym.statements.size(),
-                                 kStatementFeatureDim);
-                writeStatementFeatureRows(sym, rec.task, rec.sch, device_,
-                                          stmt_memo, row0);
-            }
-            stmt_segs.append(cfg_.use_statement_features
-                                 ? sym.statements.size()
-                                 : 0);
-            if (cfg_.use_dataflow_features) {
-                const size_t row0 = flow_memo.rows();
-                flow_memo.resize(row0 + kDataflowSteps,
-                                 kDataflowFeatureDim);
-                writeDataflowFeatureRows(sym, rec.task, rec.sch, device_,
-                                         flow_memo, row0);
-            }
-        }
-    }
-    Workspace ws;
-    TrainCaches caches;
-
-    // Scoring runs the caching forward; the fit reuses its activations
-    // (the workspace resets only at the next group's scoring pass).
-    auto infer_scores = [&](const std::vector<size_t>& subset,
-                            std::vector<double>& out) {
-        ws.reset();
-        Matrix& stmt_pack = ws.alloc(0, kStatementFeatureDim);
-        SegmentTable& spack_segs = ws.allocSegments();
-        Matrix& flow_pack = ws.alloc(0, kDataflowFeatureDim);
-        SegmentTable& fpack_segs = ws.allocSegments();
-        for (size_t idx : subset) {
-            if (cfg_.use_statement_features) {
-                stmt_pack.appendRows(stmt_memo, stmt_segs.begin(idx),
-                                     stmt_segs.rows(idx));
-                spack_segs.append(stmt_segs.rows(idx));
-            }
-            if (cfg_.use_dataflow_features) {
-                flow_pack.appendRows(flow_memo, idx * kDataflowSteps,
-                                     kDataflowSteps);
-                fpack_segs.append(kDataflowSteps);
-            }
-        }
-        out.resize(subset.size());
-        scoreBatch(stmt_pack, spack_segs, flow_pack, fpack_segs,
-                   subset.size(), ws, caches, out.data());
-    };
-    auto fit_batch = [&](const std::vector<size_t>&,
-                         const std::vector<double>& grads) {
-        fitBatch(grads, ws, caches);
-    };
-    auto on_batch_end = [&]() {
-        adam.stepClipped(5.0);
-    };
-    return trainRankingLoop(records, epochs, /*group_cap=*/48, rng_,
-                            infer_scores, fit_batch, on_batch_end,
-                            obs_counters_, train_task_batch_);
-}
-
-double
-PaCMModel::trainReference(const std::vector<MeasuredRecord>& records,
-                          int epochs)
-{
-    if (records.size() < 2) {
-        return 0.0;
-    }
-    std::vector<ParamRef> params = paramRefs();
-    Adam adam(params, 1e-3);
-    adam.zeroGrad();
-
-    // Frozen pre-batching path: same memo + batched scoring, per-record
-    // fits (exactly the train() of the batched-inference engine era).
-    Matrix stmt_memo(0, kStatementFeatureDim);
-    SegmentTable stmt_segs;
-    Matrix flow_memo(0, kDataflowFeatureDim);
-    {
-        SymbolSet sym;
-        for (const auto& rec : records) {
-            extractSymbolsInto(rec.task, rec.sch, sym);
-            if (cfg_.use_statement_features) {
-                const size_t row0 = stmt_memo.rows();
-                stmt_memo.resize(row0 + sym.statements.size(),
-                                 kStatementFeatureDim);
-                writeStatementFeatureRows(sym, rec.task, rec.sch, device_,
-                                          stmt_memo, row0);
-            }
-            stmt_segs.append(cfg_.use_statement_features
-                                 ? sym.statements.size()
-                                 : 0);
-            if (cfg_.use_dataflow_features) {
-                const size_t row0 = flow_memo.rows();
-                flow_memo.resize(row0 + kDataflowSteps,
-                                 kDataflowFeatureDim);
-                writeDataflowFeatureRows(sym, rec.task, rec.sch, device_,
-                                         flow_memo, row0);
-            }
-        }
-    }
-    Workspace ws;
-
-    auto infer_scores = [&](const std::vector<size_t>& subset) {
-        ws.reset();
-        Matrix& stmt_pack = ws.alloc(0, kStatementFeatureDim);
-        SegmentTable& spack_segs = ws.allocSegments();
-        Matrix& flow_pack = ws.alloc(0, kDataflowFeatureDim);
-        SegmentTable& fpack_segs = ws.allocSegments();
-        for (size_t idx : subset) {
-            if (cfg_.use_statement_features) {
-                stmt_pack.appendRows(stmt_memo, stmt_segs.begin(idx),
-                                     stmt_segs.rows(idx));
-                spack_segs.append(stmt_segs.rows(idx));
-            }
-            if (cfg_.use_dataflow_features) {
-                flow_pack.appendRows(flow_memo, idx * kDataflowSteps,
-                                     kDataflowSteps);
-                fpack_segs.append(kDataflowSteps);
-            }
-        }
-        std::vector<double> scores(subset.size());
-        forwardBatch(stmt_pack, spack_segs, flow_pack, fpack_segs,
-                     subset.size(), ws, scores.data());
-        return scores;
-    };
-    auto fit_one = [&](size_t idx, double dscore) {
-        const Matrix stmt_feats =
-            cfg_.use_statement_features
-                ? stmt_memo.sliceRows(stmt_segs.begin(idx),
-                                      stmt_segs.rows(idx))
-                : Matrix();
-        const Matrix flow_feats =
-            cfg_.use_dataflow_features
-                ? flow_memo.sliceRows(idx * kDataflowSteps, kDataflowSteps)
-                : Matrix();
-        fitReference(stmt_feats, flow_feats, dscore);
-    };
-    auto on_batch_end = [&]() {
-        adam.clipGradNorm(5.0);
-        adam.step();
-        adam.zeroGrad();
-    };
-    return trainRankingLoopReference(records, epochs, /*group_cap=*/48,
-                                     rng_, infer_scores, fit_one,
-                                     on_batch_end, train_task_batch_);
 }
 
 double
@@ -494,18 +312,6 @@ PaCMModel::paramRefs()
     attn_.collectParams(params);
     head_.collectParams(params);
     return params;
-}
-
-std::vector<double>
-PaCMModel::getParams()
-{
-    return flattenParams(paramRefs());
-}
-
-void
-PaCMModel::setParams(const std::vector<double>& flat)
-{
-    unflattenParams(paramRefs(), flat);
 }
 
 std::unique_ptr<CostModel>

@@ -42,37 +42,22 @@ class PaCMModel : public CostModel
     PaCMModel(const DeviceSpec& device, uint64_t seed, PaCMConfig cfg = {});
 
     std::string name() const override { return "PaCM"; }
-    std::vector<double>
-    predict(const SubgraphTask& task,
-            std::span<const Schedule> candidates) const override;
-    double train(const std::vector<MeasuredRecord>& records,
-                 int epochs) override;
-    double trainReference(const std::vector<MeasuredRecord>& records,
-                          int epochs) override;
-    double evalCostPerCandidate() const override;
-    double trainCostPerRound() const override;
-    std::vector<double> getParams() override;
-    void setParams(const std::vector<double>& flat) override;
-    std::unique_ptr<CostModel> clone() const override;
-    Rng* trainingRng() override { return &rng_; }
-
-    /** Batched scoring into a caller-owned buffer (see CostModel::predict
-     *  for the identity contract). Symbols are extracted once per
-     *  candidate and shared by both branches; zero heap allocations once
-     *  @p ws is warm. @p out must hold candidates.size() doubles. */
+    /** Symbols are extracted once per candidate and shared by both
+     *  branches (see CostModel::predictInto for the contract). */
     void predictInto(const SubgraphTask& task,
                      std::span<const Schedule> candidates, Workspace& ws,
-                     double* out) const;
-
-    /** Per-candidate reference path (the pre-batching implementation),
-     *  kept for the identity tests and benches. */
-    std::vector<double>
-    predictReference(const SubgraphTask& task,
-                     std::span<const Schedule> candidates) const;
+                     double* out) const override;
+    double evalCostPerCandidate() const override;
+    double trainCostPerRound() const override;
+    std::unique_ptr<CostModel> clone() const override;
 
     const PaCMConfig& config() const { return cfg_; }
 
   private:
+    /** Feature branches, in FeaturePack / FeatureMemos order. */
+    static constexpr size_t kStmt = 0;
+    static constexpr size_t kFlow = 1;
+
     /** Batched-trainer state carried from scoreBatch to fitBatch (see
      *  MlpCostModel::TrainCaches). */
     struct TrainCaches
@@ -84,37 +69,26 @@ class PaCMModel : public CostModel
         const SegmentTable* unit = nullptr;
     };
 
-    double scoreOne(const SubgraphTask& task, const Schedule& sch) const;
-    /** Frozen per-record forward+backward from memoised features (the
-     *  pre-batching fit). */
-    void fitReference(const Matrix& stmt_feats, const Matrix& flow_feats,
-                      double dscore);
-    /** The trainer's scoring forward: same bytes as forwardBatch, with
-     *  both branches' intermediates cached for fitBatch. */
-    void scoreBatch(const Matrix& stmt_pack, const SegmentTable& stmt_segs,
-                    const Matrix& flow_pack, const SegmentTable& flow_segs,
-                    size_t n, Workspace& ws, TrainCaches& caches,
-                    double* out);
-    /** Segment-aware batched backward from scoreBatch's caches:
-     *  byte-identical gradient accumulation to calling fitReference per
-     *  record in pack order (zero-gradient records' zero dy rows make
-     *  exactly-+0 partials — byte-level no-ops, same as the reference
-     *  loop's skip). */
-    void fitBatch(const std::vector<double>& dscores, Workspace& ws,
-                  TrainCaches& caches);
-    /** Pooled batched forward over both branches' packed features. */
-    void forwardBatch(const Matrix& stmt_pack, const SegmentTable& stmt_segs,
-                      const Matrix& flow_pack, const SegmentTable& flow_segs,
-                      size_t n, Workspace& ws, double* out) const;
-    std::vector<ParamRef> paramRefs();
+    std::vector<ParamRef> paramRefs() override;
+    double scoreOne(const SubgraphTask& task,
+                    const Schedule& sch) const override;
+    void memoRecord(const MeasuredRecord& rec, SymbolSet& sym,
+                    FeatureMemos& memo) const override;
+    void forwardBatch(const FeaturePack& pack, Workspace& ws,
+                      double* out) const override;
+    void scoreBatch(const FeaturePack& pack, Workspace& ws,
+                    double* out) override;
+    void fitBatch(const std::vector<double>& dscores,
+                  Workspace& ws) override;
+    void fitReference(const std::array<Matrix, kMaxFeatureBranches>& feats,
+                      double dscore) override;
 
-    DeviceSpec device_;
-    Rng rng_;
     PaCMConfig cfg_;
     Mlp stmt_embed_;       ///< statement branch encoder
     Mlp flow_embed_;       ///< dataflow branch encoder
     SelfAttention attn_;   ///< dataflow context modelling
     Mlp head_;             ///< fused scorer
+    TrainCaches caches_;   ///< scoreBatch -> fitBatch, within one step
 };
 
 } // namespace pruner

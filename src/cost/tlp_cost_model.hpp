@@ -30,32 +30,12 @@ class TlpCostModel : public CostModel
     TlpCostModel(const DeviceSpec& device, uint64_t seed);
 
     std::string name() const override { return "TLP"; }
-    std::vector<double>
-    predict(const SubgraphTask& task,
-            std::span<const Schedule> candidates) const override;
-    double train(const std::vector<MeasuredRecord>& records,
-                 int epochs) override;
-    double trainReference(const std::vector<MeasuredRecord>& records,
-                          int epochs) override;
-    double evalCostPerCandidate() const override;
-    double trainCostPerRound() const override;
-    std::vector<double> getParams() override;
-    void setParams(const std::vector<double>& flat) override;
-    std::unique_ptr<CostModel> clone() const override;
-    Rng* trainingRng() override { return &rng_; }
-
-    /** Batched scoring into a caller-owned buffer (see CostModel::predict
-     *  for the identity contract). Zero heap allocations once @p ws is
-     *  warm. @p out must hold candidates.size() doubles. */
     void predictInto(const SubgraphTask& task,
                      std::span<const Schedule> candidates, Workspace& ws,
-                     double* out) const;
-
-    /** Per-candidate reference path (the pre-batching implementation),
-     *  kept for the identity tests and benches. */
-    std::vector<double>
-    predictReference(const SubgraphTask& task,
-                     std::span<const Schedule> candidates) const;
+                     double* out) const override;
+    double evalCostPerCandidate() const override;
+    double trainCostPerRound() const override;
+    std::unique_ptr<CostModel> clone() const override;
 
   private:
     /** Batched-trainer state carried from scoreBatch to fitBatch (see
@@ -68,30 +48,24 @@ class TlpCostModel : public CostModel
         const SegmentTable* unit = nullptr;
     };
 
-    double scoreOne(const SubgraphTask& task, const Schedule& sch) const;
-    /** Frozen per-record forward+backward (the pre-batching fit). */
-    void fitReference(const Matrix& feats, double dscore);
-    /** The trainer's scoring forward: same bytes as forwardBatch, with
-     *  every intermediate cached for fitBatch. */
-    void scoreBatch(const Matrix& feats, const SegmentTable& segs,
-                    Workspace& ws, TrainCaches& caches, double* out);
-    /** Segment-aware batched backward from scoreBatch's caches:
-     *  byte-identical gradient accumulation to calling fitReference per
-     *  record in pack order (zero-gradient records' zero dy rows make
-     *  exactly-+0 partials — byte-level no-ops, same as the reference
-     *  loop's skip). */
-    void fitBatch(const std::vector<double>& dscores, Workspace& ws,
-                  TrainCaches& caches);
-    /** Pooled batched forward over packed primitive rows -> n scores. */
-    void forwardBatch(const Matrix& feats, const SegmentTable& segs,
-                      Workspace& ws, double* out) const;
-    std::vector<ParamRef> paramRefs();
+    std::vector<ParamRef> paramRefs() override;
+    double scoreOne(const SubgraphTask& task,
+                    const Schedule& sch) const override;
+    void memoRecord(const MeasuredRecord& rec, SymbolSet& sym,
+                    FeatureMemos& memo) const override;
+    void forwardBatch(const FeaturePack& pack, Workspace& ws,
+                      double* out) const override;
+    void scoreBatch(const FeaturePack& pack, Workspace& ws,
+                    double* out) override;
+    void fitBatch(const std::vector<double>& dscores,
+                  Workspace& ws) override;
+    void fitReference(const std::array<Matrix, kMaxFeatureBranches>& feats,
+                      double dscore) override;
 
-    DeviceSpec device_;
-    Rng rng_;
     Mlp embed_;
     SelfAttention attn_;
     Mlp head_;
+    TrainCaches caches_; ///< scoreBatch -> fitBatch, within one step
 };
 
 } // namespace pruner

@@ -118,18 +118,6 @@ SelfAttention::forward(const Matrix& x)
 }
 
 Matrix
-SelfAttention::infer(const Matrix& x) const
-{
-    const Matrix q = wq_.infer(x);
-    const Matrix k = wk_.infer(x);
-    const Matrix v = wv_.infer(x);
-    Matrix attn = Matrix::matmulNT(q, k);
-    attn.scale(1.0 / std::sqrt(static_cast<double>(dim_)));
-    attn.softmaxRows();
-    return wo_.infer(Matrix::matmul(attn, v));
-}
-
-Matrix
 SelfAttention::inferReference(const Matrix& x) const
 {
     const Matrix q = wq_.inferReference(x);

@@ -23,14 +23,6 @@ Linear::forward(const Matrix& x)
     return y;
 }
 
-Matrix
-Linear::infer(const Matrix& x) const
-{
-    Matrix y = Matrix::matmul(x, w_);
-    y.addRowVector(b_);
-    return y;
-}
-
 void
 Linear::inferInto(const Matrix& x, Matrix& y, bool relu_after) const
 {
@@ -217,19 +209,6 @@ Mlp::forward(const Matrix& x)
         h = linears_[i].forward(h);
         if (i < relus_.size()) {
             h = relus_[i].forward(h);
-        }
-    }
-    return h;
-}
-
-Matrix
-Mlp::infer(const Matrix& x) const
-{
-    Matrix h = x;
-    for (size_t i = 0; i < linears_.size(); ++i) {
-        h = linears_[i].infer(h);
-        if (i < relus_.size()) {
-            h = relus_[i].infer(h);
         }
     }
     return h;

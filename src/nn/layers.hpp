@@ -45,17 +45,14 @@ class Linear
     /** Forward pass; caches the input for backward. x: [n, in]. */
     Matrix forward(const Matrix& x);
 
-    /** Forward without caching (inference-only, reentrant-safe). */
-    Matrix infer(const Matrix& x) const;
-
-    /** infer() into a caller-owned buffer: y = x W + b, no allocation when
+    /** Cache-free forward into a caller-owned buffer: y = x W + b, no allocation when
      *  y's capacity suffices. The bias (and, when @p relu_after, the
      *  rectifier) is fused into the kernel's store epilogue — byte-equal
      *  to the standalone passes without re-touching y. @p y must not
      *  alias @p x. */
     void inferInto(const Matrix& x, Matrix& y, bool relu_after = false) const;
 
-    /** The pre-batching infer(), frozen on the naive golden kernel
+    /** The pre-batching forward, frozen on the naive golden kernel
      *  (nnkernel::matmulNaive): the byte-identity reference the batched
      *  engine is differentially tested against. */
     Matrix inferReference(const Matrix& x) const;
@@ -125,13 +122,12 @@ class Mlp
     Mlp(const std::vector<size_t>& dims, Rng& rng);
 
     Matrix forward(const Matrix& x);
-    Matrix infer(const Matrix& x) const;
 
     /**
      * Batched inference over a packed row matrix: every layer is one GEMM
      * over all rows, with intermediates drawn from @p ws (zero heap
      * allocations once the workspace is warm). Each output row is
-     * byte-identical to infer() on that row alone — every row-level op is
+     * byte-identical to inferReference() on that row alone — every row-level op is
      * row-independent with an unchanged accumulation order. Returns a
      * workspace-owned matrix, valid until the next ws.reset().
      */

@@ -278,67 +278,6 @@ TEST(FrozenTraining, Tlp)
 }
 
 // ---------------------------------------------------------------------------
-// Cross-group task batching: train() pools task_batch groups into one
-// forward/backward with one deferred optimizer step, and must stay
-// byte-identical to trainReference at the same knob.
-
-TEST(TaskBatchIdentity, PacmPooledTrainMatchesReferenceAtEveryBatchSize)
-{
-    const auto records = makeRecords(96, 6, 53);
-    for (const size_t tb : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
-        PaCMModel batched(DeviceSpec::a100(), 29);
-        PaCMModel reference(DeviceSpec::a100(), 29);
-        batched.setTrainTaskBatch(tb);
-        reference.setTrainTaskBatch(tb);
-        const double batched_loss = batched.train(records, 2);
-        const double reference_loss = reference.trainReference(records, 2);
-        EXPECT_EQ(batched_loss, reference_loss)
-            << "loss diverged at task_batch=" << tb;
-        EXPECT_TRUE(bitwiseEqual(batched.getParams(),
-                                 reference.getParams()))
-            << "weights diverged at task_batch=" << tb;
-    }
-}
-
-TEST(TaskBatchIdentity, TlpPooledTrainMatchesReference)
-{
-    const auto records = makeRecords(72, 5, 57);
-    for (const size_t tb : {size_t{1}, size_t{3}, size_t{8}}) {
-        TlpCostModel batched(DeviceSpec::a100(), 33);
-        TlpCostModel reference(DeviceSpec::a100(), 33);
-        batched.setTrainTaskBatch(tb);
-        reference.setTrainTaskBatch(tb);
-        batched.train(records, 2);
-        reference.trainReference(records, 2);
-        EXPECT_TRUE(bitwiseEqual(batched.getParams(),
-                                 reference.getParams()))
-            << "TLP weights diverged at task_batch=" << tb;
-    }
-}
-
-TEST(AsyncBatchedTraining, CarriesTaskBatchKnobThroughDoubleBuffer)
-{
-    // The async trainer clones the front model (knob included) into its
-    // back buffer; an overlapped update at any worker count must land the
-    // same bytes as the per-record reference at the same knob.
-    const auto records = makeRecords(64, 4, 59);
-    for (const size_t workers : {size_t{1}, size_t{4}}) {
-        PaCMModel front(DeviceSpec::a100(), 31);
-        PaCMModel reference(DeviceSpec::a100(), 31);
-        front.setTrainTaskBatch(4);
-        reference.setTrainTaskBatch(4);
-        ThreadPool pool(workers);
-        AsyncModelTrainer trainer(front, pool);
-        trainer.beginUpdate(records, 2);
-        trainer.install();
-        reference.trainReference(records, 2);
-        EXPECT_TRUE(bitwiseEqual(front.getParams(), reference.getParams()))
-            << "task-batched async training diverged at " << workers
-            << " workers";
-    }
-}
-
-// ---------------------------------------------------------------------------
 // nn-level: backwardBatch vs the per-record forward()+backward() loop.
 
 /** Flatten every parameter gradient of @p params. */
@@ -485,7 +424,7 @@ TEST(BatchedBackward, AttentionMatchesPerRecordBitwise)
     AttentionBatchCache cache;
     const Matrix& out = attn.forwardBatch(pack, segs, ws, cache);
     // The training forward must agree with the inference batch (and so,
-    // transitively, with per-segment infer()).
+    // transitively, with per-segment inferReference()).
     Workspace ws2;
     const Matrix& infer_out = attn.inferBatch(pack, segs, ws2);
     ASSERT_EQ(out.rows(), infer_out.rows());
@@ -593,9 +532,9 @@ TEST(ZeroAlloc, AttentionBackwardSteadyState)
 TEST(ZeroAlloc, PooledLossSteadyState)
 {
     // The training loop's per-group loss path: lambdaRankLossInto over
-    // each group slice of a pooled sub-pack, into a reused result +
-    // scratch. Once the capacities are warm, an epoch's worth of loss
-    // evaluations must not touch the heap.
+    // groups of varying size, into a reused result + scratch. Once the
+    // capacities are warm, an epoch's worth of loss evaluations must not
+    // touch the heap.
     Rng rng(239);
     std::vector<double> scores(48), latencies(48);
     for (size_t i = 0; i < scores.size(); ++i) {

@@ -564,11 +564,11 @@ TEST(BatchedLayers, MlpInferBatchMatchesPerRowInfer)
     const Matrix x = Matrix::randn(11, 5, rng, 1.0);
     Workspace ws;
     const Matrix& batched = mlp.inferBatch(x, ws);
-    const Matrix whole = mlp.infer(x);
+    const Matrix whole = mlp.inferReference(x);
     ASSERT_EQ(batched.rows(), 11u);
     ASSERT_EQ(batched.cols(), 3u);
     for (size_t r = 0; r < x.rows(); ++r) {
-        const Matrix row_out = mlp.infer(x.sliceRows(r, 1));
+        const Matrix row_out = mlp.inferReference(x.sliceRows(r, 1));
         for (size_t c = 0; c < 3; ++c) {
             EXPECT_DOUBLE_EQ(batched.at(r, c), row_out.at(0, c));
             EXPECT_DOUBLE_EQ(batched.at(r, c), whole.at(r, c));
@@ -594,7 +594,7 @@ TEST(BatchedLayers, AttentionInferBatchMatchesPerSegmentInfer)
             continue;
         }
         const Matrix seg_out =
-            attn.infer(x.sliceRows(segs.begin(s), segs.rows(s)));
+            attn.inferReference(x.sliceRows(segs.begin(s), segs.rows(s)));
         for (size_t r = 0; r < segs.rows(s); ++r) {
             for (size_t c = 0; c < 6; ++c) {
                 EXPECT_DOUBLE_EQ(batched.at(segs.begin(s) + r, c),
@@ -602,24 +602,6 @@ TEST(BatchedLayers, AttentionInferBatchMatchesPerSegmentInfer)
             }
         }
     }
-}
-
-TEST(BatchedLayers, InferReferenceMatchesInfer)
-{
-    Rng rng(113);
-    Mlp mlp({4, 8, 2}, rng);
-    SelfAttention attn(4, rng);
-    const Matrix x = Matrix::randn(6, 4, rng, 0.9);
-    const Matrix a = mlp.infer(x);
-    const Matrix b = mlp.inferReference(x);
-    EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
-                          a.size() * sizeof(double)),
-              0);
-    const Matrix c = attn.infer(x);
-    const Matrix d = attn.inferReference(x);
-    EXPECT_EQ(std::memcmp(c.data().data(), d.data().data(),
-                          c.size() * sizeof(double)),
-              0);
 }
 
 /** Scalar loss used by the gradient checks: sum of outputs. */
@@ -941,7 +923,7 @@ TEST(Training, TinyMlpLearnsRankingSignal)
         for (double f : feats) {
             Matrix x(1, 1);
             x.at(0, 0) = f;
-            scores.push_back(mlp.infer(x).at(0, 0));
+            scores.push_back(mlp.inferReference(x).at(0, 0));
         }
         const LossResult loss = lambdaRankLoss(scores, lats);
         adam.zeroGrad();
@@ -959,7 +941,8 @@ TEST(Training, TinyMlpLearnsRankingSignal)
     Matrix lo(1, 1), hi(1, 1);
     lo.at(0, 0) = 0.0;
     hi.at(0, 0) = 1.0;
-    EXPECT_GT(mlp.infer(lo).at(0, 0), mlp.infer(hi).at(0, 0));
+    EXPECT_GT(mlp.inferReference(lo).at(0, 0),
+              mlp.inferReference(hi).at(0, 0));
 }
 
 } // namespace
