@@ -4,6 +4,8 @@
  *    trainReference() for every learned model (PaCM incl. ablations,
  *    TenSetMLP, TLP) at 1 / 48 / 512 records, and post-train predictions
  *    agree bitwise with the per-candidate reference scoring,
+ *  - both trainers land on fixed, pinned weight hashes and loss bits, so
+ *    a change to the scaffolding they share cannot move them together,
  *  - the nn-level backwardBatch passes (Mlp, SelfAttention) accumulate
  *    bitwise the same parameter gradients as the per-record
  *    forward()+backward() loop, at any segment shape,
