@@ -379,6 +379,19 @@ TEST_F(CheckpointTest, FingerprintMismatchStartsColdWithoutQuarantine)
     EXPECT_EQ(readFileBytes(kCkptPath), bytes_before);
 }
 
+TEST_F(CheckpointTest, FingerprintIsFrozen)
+{
+    // A changed fingerprint silently starts every checkpoint written by
+    // an earlier build cold (see FingerprintMismatchStartsColdWithout-
+    // Quarantine), so the hash of a fixed run identity is pinned.
+    const auto dev = DeviceSpec::a100();
+    const PrunerPolicy policy(dev, smallPrunerConfig());
+    const uint64_t fp =
+        checkpointFingerprint(policy.replayFactory(), policy.replayConfig(),
+                              dev.name, smallWorkload(), baseOptions());
+    EXPECT_EQ(fp, 0x088fcfe2a61cf92aull) << std::hex << "fingerprint 0x" << fp;
+}
+
 TEST_F(CheckpointTest, FailedCheckpointWriteNeverFailsTheRun)
 {
     const auto dev = DeviceSpec::a100();
