@@ -5,17 +5,13 @@
  * pool, at worker counts the sessions were never recorded with, and
  * hard-assert that every replay is byte-identical to its recording.
  *
- *   ./chaos_replay [n_sessions] [repeats] [explorer]
+ *   ./chaos_replay [n_sessions] [repeats]
  *   ./chaos_replay --golden <path>   # regenerate the checked-in fixture
  *
  * With N sessions and R repeats the harness runs N x 2 x R replays (each
  * session at 1 and 4 workers, R times) across a pool of at least 4
  * workers, so at least 4 replays are always in flight together — replay
  * must hold under concurrent re-execution, not just in isolation.
- *
- * The optional [explorer] argument records every session with that
- * draft-stage explorer (any ExplorerRegistry key, e.g. "portfolio"), so
- * the fleet exercises replay of non-default explorer trajectories too.
  */
 
 #include <chrono>
@@ -37,9 +33,6 @@ using namespace pruner;
 
 namespace {
 
-/** Explorer key every recorded session tunes with ("" = default). */
-std::string g_explorer; // NOLINT(cert-err58-cpp)
-
 /** One recorded session of either tuner, under faults, with async
  *  training and sharded rounds. */
 SessionLog
@@ -60,7 +53,6 @@ recordSession(size_t index)
     opts.fault_plan.launch_failure_rate = 0.04 + 0.02 * (index % 3);
     opts.fault_plan.timeout_rate = 0.04;
     opts.fault_plan.flaky_rate = 0.12;
-    opts.explorer = g_explorer;
 
     SessionRecorder recorder;
     opts.recorder = &recorder;
@@ -188,15 +180,9 @@ main(int argc, char** argv)
     if (argc > 2) {
         repeats = static_cast<size_t>(std::atoi(argv[2]));
     }
-    if (argc > 3) {
-        g_explorer = argv[3];
-        std::printf("chaos_replay: recording with explorer '%s'\n",
-                    g_explorer.c_str());
-    }
     if (n_sessions == 0 || repeats == 0) {
-        std::printf(
-            "usage: %s [n_sessions] [repeats] [explorer] | --golden <path>\n",
-            argv[0]);
+        std::printf("usage: %s [n_sessions] [repeats] | --golden <path>\n",
+                    argv[0]);
         return 2;
     }
     return runChaos(n_sessions, repeats);

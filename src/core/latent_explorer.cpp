@@ -1,8 +1,6 @@
 #include "core/latent_explorer.hpp"
 
 #include "obs/metrics.hpp"
-#include "search/explorer.hpp"
-#include "support/logging.hpp"
 
 namespace pruner {
 
@@ -35,21 +33,9 @@ LatentScheduleExplorer::explore(const SubgraphTask& task,
         return scores;
     };
     size_t evals = 0;
-    std::vector<ScoredSchedule> out;
-    if (config.explorer != nullptr) {
-        ExplorerContext ctx;
-        ctx.task = &task;
-        ctx.device = &device_;
-        ctx.seeds = &seeds;
-        ctx.score = fitness;
-        ctx.rng = &rng;
-        ctx.n_evaluated = &evals;
-        ctx.evo = evo_config;
-        out = config.explorer->proposeBatch(ctx);
-    } else {
-        EvolutionarySearch evo(task, device_);
-        out = evo.run(evo_config, fitness, seeds, rng, &evals);
-    }
+    const EvolutionarySearch evo(task, device_);
+    std::vector<ScoredSchedule> out =
+        evo.run(evo_config, fitness, seeds, rng, &evals);
     if (n_evaluated != nullptr) {
         *n_evaluated = evals;
     }

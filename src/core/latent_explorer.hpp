@@ -17,8 +17,6 @@
 
 namespace pruner {
 
-class Explorer; // pluggable draft strategy (src/search/explorer.hpp)
-
 /** Configuration of the draft stage. */
 struct LseConfig
 {
@@ -36,11 +34,6 @@ struct LseConfig
     /** Metrics sink, forwarded to the underlying GA plus lse_*_total
      *  counters (borrowed, may be null). Pure accounting. */
     obs::MetricsRegistry* metrics = nullptr;
-    /** Pluggable draft strategy (borrowed, may be null = the built-in
-     *  SA-fitness GA, byte-identical to the pre-interface loop). The SA
-     *  score stays the resident fitness either way — an alternative
-     *  explorer changes *how* the space is walked, not what judges it. */
-    Explorer* explorer = nullptr;
 };
 
 /** The draft-stage explorer. */

@@ -67,10 +67,10 @@ class PrunerPolicy::Run final : public TuningRun
     {
         lse_.score_pool = pool();
         lse_.metrics = &metrics_;
-        lse_.explorer = explorer_.get();
         evolution_.out_size = config_.lse.spec_size;
         evolution_.score_pool = pool();
         evolution_.score_chunk = scoreChunk();
+        evolution_.metrics = &metrics_;
     }
 
   private:
@@ -112,7 +112,7 @@ class PrunerPolicy::Run final : public TuningRun
             // The model is stable during the run: async updates install
             // before this point.
             drainTraining();
-            const auto ranked = explorerDraft(slot, evolution_);
+            const auto ranked = evolutionDraft(slot, evolution_);
             draft.reserve(ranked.size());
             for (const auto& scored : ranked) {
                 draft.push_back(scored.sch);
@@ -180,7 +180,7 @@ class PrunerPolicy::Run final : public TuningRun
     const PrunerConfig& config_;
     const LatentScheduleExplorer& lse_explorer_;
     LseConfig lse_;              ///< the LSE draft, bound to this run
-    EvolutionConfig evolution_;  ///< the "w/o LSE" explorer draft
+    EvolutionConfig evolution_;  ///< the "w/o LSE" evolution draft
 };
 
 TuneResult

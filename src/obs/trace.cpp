@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "support/logging.hpp"
 
@@ -166,7 +167,12 @@ Tracer::argDouble(SpanHandle handle, const char* key, double value)
 void
 Tracer::argStr(SpanHandle handle, const char* key, const std::string& value)
 {
-    pushArg(handle, key, "\"" + jsonEscape(value) + "\"");
+    // Appended, not "\"" + std::string&&: GCC 12 flags that with a false
+    // -Wrestrict.
+    std::string quoted = "\"";
+    quoted += jsonEscape(value);
+    quoted += '"';
+    pushArg(handle, key, std::move(quoted));
 }
 
 size_t

@@ -8,7 +8,6 @@
 
 #include "core/moa.hpp"
 #include "replay/session_log.hpp"
-#include "search/explorer.hpp"
 #include "search/record_log.hpp"
 #include "support/io.hpp"
 #include "support/logging.hpp"
@@ -243,8 +242,10 @@ checkpointFingerprint(const std::string& replay_factory,
     h = hashF64(h, opts.fault_plan.timeout_extra_s);
     h = hashCombine(h, opts.fault_plan.seed);
     h = hashCombine(h, opts.collect_round_stats ? 1 : 0);
-    h = hashStr(h, opts.explorer);
-    h = hashStr(h, opts.explorer_config);
+    // The retired explorer key and config, always empty: a changed
+    // fingerprint would start every older checkpoint cold without an error.
+    h = hashStr(h, "");
+    h = hashStr(h, "");
     return h;
 }
 
@@ -282,7 +283,6 @@ buildCheckpoint(const CheckpointSources& src)
     cp.curve = *src.curve;
     cp.round_stats = *src.round_stats;
     cp.metrics = src.metrics->snapshot();
-    cp.explorer_blob = src.explorer->serializeState();
     return cp;
 }
 
@@ -319,9 +319,6 @@ applyCheckpoint(const TuningCheckpoint& cp, const Workload& workload,
     }
     if (targets.cache != nullptr) {
         targets.cache->restoreEntries(cp.cache_entries);
-    }
-    if (!cp.explorer_blob.empty()) {
-        targets.explorer->restoreState(cp.explorer_blob);
     }
     if (cp.has_model) {
         targets.model->setParams(cp.model_params);
@@ -434,9 +431,6 @@ encodeCheckpoint(const TuningCheckpoint& cp)
         if (l.channel == det) {
             out << "ml " << l.name << "\t" << l.value << "\n";
         }
-    }
-    if (!cp.explorer_blob.empty()) {
-        out << "exp\t" << cp.explorer_blob << "\n";
     }
     out << "end\n";
 
@@ -596,8 +590,6 @@ decodeCheckpoint(const std::string& text)
             cp.metrics.labels.push_back(
                 {rest.substr(0, tab), obs::MetricChannel::Deterministic,
                  rest.substr(tab + 1)});
-        } else if (kind == "exp") {
-            cp.explorer_blob = line.substr(body);
         } else if (kind == "end") {
             saw_end = true;
         } else {

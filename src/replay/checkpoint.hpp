@@ -7,9 +7,9 @@
  * Every TuneOptions::checkpoint_interval completed rounds (and after the
  * final round) TuningRun (src/search/tuning_run.hpp) snapshots the full
  * resumable state — round index, simulated clock, every RNG lineage,
- * task-scheduler history, explorer state, cost-model weights, measured
- * records, measurement cache, curve, round stats and the deterministic
- * metrics channel — into one versioned file. A later run pointed at that
+ * task-scheduler history, cost-model weights, measured records,
+ * measurement cache, curve, round stats and the deterministic metrics
+ * channel — into one versioned file. A later run pointed at that
  * file via TuneOptions::resume_from continues the session and produces a
  * TuneResult byte-identical to the uninterrupted run, at any kill point on a
  * checkpoint boundary and at any worker count (the checkpoint pins the
@@ -53,7 +53,6 @@
 
 namespace pruner {
 
-class Explorer;   // search/explorer.hpp
 class MoAAdapter; // core/moa.hpp
 
 /** Everything a tuning loop needs to continue mid-session. Plain data;
@@ -96,8 +95,6 @@ struct TuningCheckpoint
     /** Deterministic-channel metrics accumulated so far (the counters
      *  TuneResult is filled from live here). */
     obs::MetricsSnapshot metrics;
-    /** Explorer::serializeState() blob ("" for stateless explorers). */
-    std::string explorer_blob;
 };
 
 /**
@@ -129,7 +126,6 @@ struct CheckpointSources
     const TuningRecordDb* db = nullptr;
     /** Null when measurement caching is off. */
     const MeasureCache* cache = nullptr;
-    const Explorer* explorer = nullptr;
     CostModel* model = nullptr;
     /** Training-stream RNG: the async back model's when async training is
      *  on (read after an install() barrier), the front model's otherwise.
@@ -157,7 +153,6 @@ struct CheckpointTargets
     TaskScheduler* scheduler = nullptr;
     TuningRecordDb* db = nullptr;
     MeasureCache* cache = nullptr;
-    Explorer* explorer = nullptr;
     CostModel* model = nullptr;
     MoAAdapter* moa = nullptr;
     obs::MetricsRegistry* metrics = nullptr;

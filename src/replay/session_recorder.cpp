@@ -94,19 +94,14 @@ SessionRecorder::beginSession(const std::string& factory,
         log_.append(line.str());
     }
     {
-        // The draft-stage explorer is part of the trajectory (it decides
-        // how the RNG lineage is consumed), so the replayer must rebuild
-        // the same one. The config string is recorded verbatim ("-" when
-        // empty: EventFields requires a value after '=').
+        // The constant explorer fields keep the v1 format: logs of the
+        // retired draft explorers name another one, which replay refuses.
         std::ostringstream line;
         line << "policycfg";
         if (!policy_config.empty()) {
             line << '\t' << policy_config;
         }
-        line << "\texplorer="
-             << (opts.explorer.empty() ? "evolution" : opts.explorer)
-             << "\texplorercfg="
-             << (opts.explorer_config.empty() ? "-" : opts.explorer_config);
+        line << "\texplorer=evolution\texplorercfg=-";
         log_.append(line.str());
     }
 }

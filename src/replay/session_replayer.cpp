@@ -145,6 +145,23 @@ SessionReplayer::replay(const SessionLog& recorded,
     if (policycfg == nullptr) {
         PRUNER_FATAL("session replay: log has no 'policycfg' event");
     }
+    // Every draft runs the evolutionary search (or LSE's GA). A log that
+    // names another draft explorer recorded a trajectory this build cannot
+    // re-execute; logs from before the fields existed drafted this way.
+    const EventFields policy_fields(policycfg->line);
+    if (policy_fields.has("explorer") &&
+        policy_fields.get("explorer") != "evolution") {
+        PRUNER_FATAL("session replay: field 'explorer' names the retired "
+                     "draft explorer '"
+                     << policy_fields.get("explorer") << "'");
+    }
+    if (policy_fields.has("explorercfg") &&
+        policy_fields.get("explorercfg") != "-") {
+        PRUNER_FATAL("session replay: field 'explorercfg' holds an explorer "
+                     "config '"
+                     << policy_fields.get("explorercfg")
+                     << "'; only '-' replays");
+    }
 
     // --- Device and workload --------------------------------------------
     const DeviceSpec device = env.device != nullptr
@@ -161,8 +178,7 @@ SessionReplayer::replay(const SessionLog& recorded,
         workload = workloadByDisplayName(session.get("workload"), tasks);
     }
 
-    std::unique_ptr<SearchPolicy> policy =
-        it->second(device, EventFields(policycfg->line));
+    std::unique_ptr<SearchPolicy> policy = it->second(device, policy_fields);
 
     // --- Options --------------------------------------------------------
     TuneOptions opts;
@@ -203,18 +219,6 @@ SessionReplayer::replay(const SessionLog& recorded,
     plan.flaky_rate = faults.getDoubleBits("flaky");
     plan.flaky_sigma = faults.getDoubleBits("sigma");
     plan.timeout_extra_s = faults.getDoubleBits("extra");
-
-    // Draft-stage explorer: part of the trajectory. Logs from before the
-    // explorer fields existed replay under the default (which is what
-    // they recorded).
-    const EventFields policy_fields(policycfg->line);
-    if (policy_fields.has("explorer")) {
-        opts.explorer = policy_fields.get("explorer");
-    }
-    if (policy_fields.has("explorercfg")) {
-        const std::string& cfg = policy_fields.get("explorercfg");
-        opts.explorer_config = cfg == "-" ? "" : cfg;
-    }
 
     // Observability pass-through: pure outputs, never part of the
     // recorded log or the replay diff.

@@ -164,6 +164,7 @@ EvolutionarySearch::run(const EvolutionConfig& config, const ScoreFn& score,
         config.metrics->counter("evo_generations_total")
             ->add(static_cast<uint64_t>(config.iterations) + 1);
         config.metrics->counter("evo_evaluations_total")->add(evals);
+        config.metrics->counter("evo_candidates_total")->add(out.size());
         config.metrics->counter("evo_mutations_total")->add(mutations);
         config.metrics->counter("evo_crossovers_total")->add(crossovers);
     }

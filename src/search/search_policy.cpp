@@ -106,7 +106,7 @@ EvoCostModelPolicy::supportsTask(const SubgraphTask&) const
     return true;
 }
 
-/** The Ansor-style run: the draft explorer scores its population with
+/** The Ansor-style run: the evolutionary draft scores its population with
  *  the cost model inline, so the draft is also the verify (there is no
  *  separate verify pass; round_verify_time_us stays empty). */
 class EvoCostModelPolicy::Run final : public TuningRun
@@ -139,7 +139,7 @@ class EvoCostModelPolicy::Run final : public TuningRun
     draft(RoundSlot& slot, obs::ScopedSpan& span) override
     {
         size_t evals = 0;
-        const auto ranked = explorerDraft(slot, evolution_, &evals);
+        const auto ranked = evolutionDraft(slot, evolution_, &evals);
         span.argU64("evals", evals);
         span.argU64("ranked", ranked.size());
         select(slot, ranked);

@@ -9,7 +9,6 @@
 #include "nn/matrix.hpp"
 #include "replay/checkpoint.hpp"
 #include "replay/session_recorder.hpp"
-#include "search/explorer.hpp"
 #include "support/logging.hpp"
 
 namespace pruner {
@@ -145,11 +144,6 @@ TuningRun::TuningRun(const SearchPolicy& policy, const DeviceSpec& device,
         recorder_->beginSession(policy.replayFactory(), policy.replayConfig(),
                                 device.name, workload, opts);
     }
-    // Draft-stage explorer ("" -> "evolution", the exact pre-interface
-    // loop). Owns no RNG: every draw flows through the run's rng.
-    explorer_ = ExplorerRegistry::instance().make(opts.explorer,
-                                                  opts.explorer_config);
-    explorer_->bindMetrics(&metrics_);
     scheduler_.bindObs(&metrics_);
     model_.bindMetrics(&metrics_);
     exportKernelTiers(metrics_);
@@ -170,7 +164,6 @@ TuningRun::TuningRun(const SearchPolicy& policy, const DeviceSpec& device,
         io_span.argU64("cache_entries", warm.cache_entries);
         if (warm.records_replayed > 0) {
             scheduler_.warmStart(db_);
-            observeWarmRecords(*explorer_, device_, db_.records());
         }
     }
 
@@ -182,7 +175,7 @@ TuningRun::TuningRun(const SearchPolicy& policy, const DeviceSpec& device,
             {.clock = &clock_, .rng = &rng_, .measurer = &measurer_,
              .scheduler = &scheduler_, .db = &db_,
              .cache = opts.measure_cache ? env_.cacheMut() : nullptr,
-             .explorer = explorer_.get(), .model = &model_, .moa = moa_,
+             .model = &model_, .moa = moa_,
              .metrics = &metrics_, .round_stats = &round_stats_,
              .curve = &result_.curve});
         PRUNER_INFO("resumed from '" << opts.resume_from << "' at round "
@@ -219,21 +212,17 @@ TuningRun::installModel(int round)
 }
 
 std::vector<ScoredSchedule>
-TuningRun::explorerDraft(const RoundSlot& slot, const EvolutionConfig& evo,
-                         size_t* evals_out)
+TuningRun::evolutionDraft(const RoundSlot& slot, const EvolutionConfig& evo,
+                          size_t* evals_out)
 {
     size_t evals = 0;
-    ExplorerContext ectx;
-    ectx.task = slot.task;
-    ectx.device = &device_;
-    ectx.seeds = &slot.seeds;
-    ectx.score = [this, task = slot.task](std::span<const Schedule> cands) {
+    const ScoreFn score = [this,
+                           task = slot.task](std::span<const Schedule> cands) {
         return model_.predict(*task, cands);
     };
-    ectx.rng = &rng_;
-    ectx.n_evaluated = &evals;
-    ectx.evo = evo;
-    std::vector<ScoredSchedule> ranked = explorer_->proposeBatch(ectx);
+    const EvolutionarySearch search(*slot.task, device_);
+    std::vector<ScoredSchedule> ranked =
+        search.run(evo, score, slot.seeds, rng_, &evals);
     clock_.charge(CostCategory::Exploration,
                   static_cast<double>(evals) * model_.evalCostPerCandidate());
     if (evals_out != nullptr) {
@@ -318,7 +307,6 @@ TuningRun::execute()
             obs::ScopedSpan draft_span(tracer_, obs::TraceTrack::Main,
                                        &clock_, "draft", "explore");
             draft_span.argU64("task", idx);
-            draft_span.argStr("explorer", explorer_->key());
             const size_t drafted = draft(slot, draft_span);
             draft_span.close();
             round_stats_.addDrafted(drafted);
@@ -393,7 +381,6 @@ TuningRun::measure(const std::vector<RoundSlot>& slots)
             }
         }
         artifacts_.onMeasured(*slot.task, slot.to_measure, latencies);
-        explorer_->observe(*slot.task, device_, slot.to_measure, latencies);
         scheduler_.observe(slot.task_index, db_.bestLatency(*slot.task));
     }
 }
@@ -411,7 +398,7 @@ TuningRun::writeCheckpoint(int next_round)
         .clock_lanes = measurer_.clockLanes(), .clock = &clock_,
         .rng = &rng_, .measurer = &measurer_, .scheduler = &scheduler_,
         .db = &db_, .cache = opts_.measure_cache ? &env_.cache() : nullptr,
-        .explorer = explorer_.get(), .model = &model_,
+        .model = &model_,
         .model_rng = async_trainer_ != nullptr
                          ? async_trainer_->backModel()->trainingRng()
                          : model_.trainingRng(),

@@ -9,7 +9,7 @@
  *
  * TuningRun owns the per-run metrics registry and spans, the Measurer,
  * checkpoint/resume, the artifact store, the record DB, the task
- * scheduler, the draft explorer and the async trainer. Each round it picks
+ * scheduler and the async trainer. Each round it picks
  * the tasks, drafts each one, verifies, measures the round in one pooled
  * pass, trains, and records the curve point and the checkpoint. The end of
  * the run probes the model for divergence: a diverged model fails the run
@@ -30,7 +30,6 @@
 namespace pruner {
 
 class AsyncModelTrainer; // src/cost/async_trainer.hpp
-class Explorer;          // src/search/explorer.hpp
 class MoAAdapter;        // src/core/moa.hpp
 
 /** One picked task of a round. */
@@ -93,11 +92,11 @@ class TuningRun
     /** drainTraining(), then the recorder's model-state event: the point
      *  where async and synchronous training hold identical weights. */
     void installModel(int round);
-    /** Draft through the run's explorer with the cost model as the
+    /** Draft with the evolutionary search, the cost model as the
      *  fitness, and charge the evaluations at its per-candidate cost. */
-    std::vector<ScoredSchedule> explorerDraft(const RoundSlot& slot,
-                                              const EvolutionConfig& evo,
-                                              size_t* evals_out = nullptr);
+    std::vector<ScoredSchedule> evolutionDraft(const RoundSlot& slot,
+                                               const EvolutionConfig& evo,
+                                               size_t* evals_out = nullptr);
     /** Pick slot.to_measure from @p ranked (epsilon-greedy). */
     void select(RoundSlot& slot, const std::vector<ScoredSchedule>& ranked);
     /** One online update on the recent records, in the "train" span. */
@@ -113,7 +112,6 @@ class TuningRun
     // registry, if any, receives one merge at the end.
     obs::MetricsRegistry metrics_;
     obs::Tracer* tracer_;
-    std::unique_ptr<Explorer> explorer_;
     obs::StageTimeHistograms stage_hists_;
     /** Measure each task with early termination (Adatune) instead of one
      *  pooled pass per round. */

@@ -1,23 +1,13 @@
-/** The explorer zoo: the default "evolution" explorer must reproduce the
- *  pre-interface draft loop byte for byte (frozen golden end-lines across
- *  Pruner / MoA-Pruner / Ansor at 1 and 4 workers), every alternative
- *  explorer (bayes, gbt, portfolio) must be deterministic at any worker
- *  count and replay byte-identically from its session log, and the
- *  registry must fail loudly on unknown keys. */
+/** The draft stage (LSE for Pruner and MoA-Pruner, the evolutionary
+ *  search for Ansor) must reproduce the frozen golden end-lines byte for
+ *  byte across Pruner / MoA-Pruner / Ansor at 1 and 4 workers. */
 
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <string>
-#include <vector>
-
 #include "baselines/ansor.hpp"
 #include "core/pruner_tuner.hpp"
-#include "cost/gbt_model.hpp"
 #include "ir/workload_registry.hpp"
-#include "replay/session_replayer.hpp"
-#include "search/explorer.hpp"
-#include "support/logging.hpp"
+#include "replay/session_recorder.hpp"
 
 namespace pruner {
 namespace {
@@ -93,15 +83,11 @@ goldenOptions(int workers)
 }
 
 SessionLog
-runGoldenCase(const GoldenCase& c, const std::string& explorer,
-              const std::string& explorer_config = "", int clock_lanes = 0)
+runGoldenCase(const GoldenCase& c)
 {
     const auto dev = DeviceSpec::a100();
     const Workload w = goldenWorkload();
     TuneOptions opts = goldenOptions(c.workers);
-    opts.explorer = explorer;
-    opts.explorer_config = explorer_config;
-    opts.clock_lanes = clock_lanes;
     SessionRecorder recorder;
     opts.recorder = &recorder;
     if (c.kind == 2) {
@@ -122,162 +108,11 @@ TEST(Explorer, EvolutionByteIdenticalToPreRefactorGoldens)
 {
     for (const GoldenCase& c : kGolden) {
         SCOPED_TRACE(c.name);
-        const SessionLog log = runGoldenCase(c, "");
+        const SessionLog log = runGoldenCase(c);
         const SessionEvent* end = log.find("end");
         ASSERT_NE(end, nullptr);
         EXPECT_EQ(end->line, c.end_line);
     }
-}
-
-TEST(Explorer, ExplicitEvolutionKeyMatchesDefault)
-{
-    const SessionLog a = runGoldenCase(kGolden[0], "");
-    const SessionLog b = runGoldenCase(kGolden[0], "evolution");
-    ASSERT_NE(a.find("end"), nullptr);
-    ASSERT_NE(b.find("end"), nullptr);
-    EXPECT_EQ(a.find("end")->line, b.find("end")->line);
-}
-
-/** Every alternative explorer must be worker-count invariant: the whole
- *  recorded event stream (measurements, model hashes, simulated clock)
- *  identical at 1 and 4 workers, for both tuning loops. */
-TEST(Explorer, AlternativeExplorersWorkerCountInvariant)
-{
-    const struct
-    {
-        const char* key;
-        const char* config;
-    } cases[] = {
-        {"bayes", ""},
-        {"gbt", "min_records=20,trees=16"},
-        {"portfolio", "arms=evolution+bayes+gbt,race_rounds=1,"
-                      "min_records=20"},
-    };
-    for (const auto& c : cases) {
-        for (const int kind : {0, 2}) { // Pruner and Ansor loops
-            SCOPED_TRACE(std::string(c.key) + "/kind" +
-                         std::to_string(kind));
-            // Pin the clock lanes so the whole event stream — not just
-            // the measured values — must match across worker counts.
-            const GoldenCase w1{"", 1, kind, ""};
-            const GoldenCase w4{"", 4, kind, ""};
-            const SessionLog a = runGoldenCase(w1, c.key, c.config, 1);
-            const SessionLog b = runGoldenCase(w4, c.key, c.config, 1);
-            const ReplayDiff diff = replayDiff(a, b);
-            EXPECT_TRUE(diff.identical) << diff.describe();
-        }
-    }
-}
-
-/** A session recorded under a non-default explorer must carry it on the
- *  policycfg line and re-execute byte-identically from the log alone. */
-TEST(Explorer, RecordedPortfolioSessionReplaysIdentically)
-{
-    const auto dev = DeviceSpec::a100();
-    const Workload w = goldenWorkload();
-    TuneOptions opts = goldenOptions(2);
-    opts.explorer = "portfolio";
-    opts.explorer_config = "arms=evolution+gbt,race_rounds=1";
-    opts.tasks_per_round = 2;
-    opts.async_training = true;
-    opts.fault_plan.seed = 7;
-    opts.fault_plan.launch_failure_rate = 0.05;
-    opts.fault_plan.flaky_rate = 0.1;
-    SessionRecorder recorder;
-    opts.recorder = &recorder;
-    PrunerConfig config;
-    config.lse.spec_size = 64;
-    PrunerPolicy policy(dev, config);
-    policy.tune(w, opts);
-    ASSERT_TRUE(recorder.finished());
-
-    const SessionEvent* policycfg = recorder.log().find("policycfg");
-    ASSERT_NE(policycfg, nullptr);
-    const EventFields fields(policycfg->line);
-    EXPECT_EQ(fields.get("explorer"), "portfolio");
-    EXPECT_EQ(fields.get("explorercfg"), opts.explorer_config);
-
-    SessionReplayer replayer;
-    for (const int workers : {1, 4}) {
-        SCOPED_TRACE(workers);
-        ReplayEnv env;
-        env.workers = workers;
-        const ReplayResult replayed = replayer.replay(recorder.log(), env);
-        EXPECT_TRUE(replayed.diff.identical) << replayed.diff.describe();
-    }
-}
-
-TEST(Explorer, RegistryRejectsUnknownKey)
-{
-    EXPECT_THROW(ExplorerRegistry::instance().make("simulated-annealing"),
-                 FatalError);
-}
-
-TEST(Explorer, RegistryListsBuiltins)
-{
-    ExplorerRegistry& registry = ExplorerRegistry::instance();
-    for (const char* key : {"evolution", "bayes", "gbt", "portfolio"}) {
-        EXPECT_TRUE(registry.contains(key)) << key;
-    }
-    EXPECT_FALSE(registry.contains("nope"));
-    // "" resolves to the default.
-    EXPECT_EQ(registry.make("")->key(), "evolution");
-}
-
-TEST(Explorer, SpecParsesTypedValuesAndRejectsMalformedPairs)
-{
-    const ExplorerSpec spec("portfolio",
-                            "arms=evolution+gbt,race_rounds=3,sigma=0.5");
-    EXPECT_EQ(spec.get("arms", ""), "evolution+gbt");
-    EXPECT_EQ(spec.getInt("race_rounds", 0), 3);
-    EXPECT_EQ(spec.getDouble("sigma", 0.0), 0.5);
-    EXPECT_EQ(spec.getInt("missing", 17), 17);
-    EXPECT_FALSE(spec.has("missing"));
-    EXPECT_THROW(ExplorerSpec("bayes", "novalue"), InternalError);
-    EXPECT_THROW(ExplorerSpec("bayes", "a=1\tb=2"), InternalError);
-}
-
-TEST(Explorer, PortfolioRejectsNestedPortfolioArm)
-{
-    EXPECT_THROW(ExplorerRegistry::instance().make(
-                     "portfolio", "arms=evolution+portfolio"),
-                 InternalError);
-}
-
-/** The GBT surrogate must be a deterministic pure function of its
- *  training set: same records, same trees, bitwise-equal predictions. */
-TEST(Explorer, GbtModelFitsDeterministicallyAndRanks)
-{
-    GbtConfig config;
-    config.n_trees = 24;
-    config.min_leaf = 2;
-    const size_t n = 64;
-    Matrix x(n, 3);
-    std::vector<double> y(n);
-    Rng rng(123);
-    for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < 3; ++j) {
-            x.at(i, j) = static_cast<double>(rng.index(16));
-        }
-        // Piecewise target a depth-4 tree ensemble can represent.
-        y[i] = (x.at(i, 0) > 8.0 ? 4.0 : 0.0) + 0.25 * x.at(i, 1);
-    }
-    GbtModel a(config);
-    GbtModel b(config);
-    a.fit(x, y);
-    b.fit(x, y);
-    ASSERT_TRUE(a.trained());
-    EXPECT_GT(a.numTrees(), 0u);
-    EXPECT_EQ(a.numTrees(), b.numTrees());
-    double sq_err = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(doubleBits(a.predict(x.row(i))),
-                  doubleBits(b.predict(x.row(i))));
-        const double d = a.predict(x.row(i)) - y[i];
-        sq_err += d * d;
-    }
-    // The ensemble must actually learn the piecewise structure.
-    EXPECT_LT(sq_err / static_cast<double>(n), 0.5);
 }
 
 } // namespace

@@ -531,39 +531,6 @@ TEST(ObsTune, StageHistogramsTrackRoundsAndRenderInReport)
     }
 }
 
-TEST(ObsTune, TuneReportRendersPortfolioArmRows)
-{
-    // Synthetic portfolio counters: the report must render one row per
-    // arm with its call share and race wins, keyed off the
-    // portfolio_arm_<key>_calls_total / portfolio_winner_<key>_total
-    // naming convention the portfolio explorer emits.
-    obs::MetricsRegistry metrics;
-    metrics.counter("portfolio_arm_evolution_calls_total")->add(6);
-    metrics.counter("portfolio_arm_anneal_calls_total")->add(2);
-    metrics.counter("portfolio_winner_evolution_total")->add(1);
-
-    TuneResult result;
-    result.policy = "portfolio-test";
-    const std::string report = obs::tuneReport(result, metrics.snapshot());
-    EXPECT_NE(report.find("portfolio arms (8 draft calls):"),
-              std::string::npos)
-        << report;
-    EXPECT_NE(report.find("evolution  calls 6"), std::string::npos)
-        << report;
-    EXPECT_NE(report.find("anneal     calls 2"), std::string::npos)
-        << report;
-    EXPECT_NE(report.find("75.0%"), std::string::npos) << report;
-    EXPECT_NE(report.find("25.0%"), std::string::npos) << report;
-    EXPECT_NE(report.find("wins 1"), std::string::npos) << report;
-    EXPECT_NE(report.find("wins 0"), std::string::npos) << report;
-
-    // No portfolio counters -> no section.
-    obs::MetricsRegistry empty;
-    EXPECT_EQ(obs::tuneReport(result, empty.snapshot())
-                  .find("portfolio arms"),
-              std::string::npos);
-}
-
 TEST(ObsTune, EvoPolicyEmitsEvolutionCounters)
 {
     const auto dev = DeviceSpec::a100();
@@ -579,6 +546,33 @@ TEST(ObsTune, EvoPolicyEmitsEvolutionCounters)
     EXPECT_GT(snap.counterValue("evo_generations_total"), 0u);
     EXPECT_GT(snap.counterValue("evo_evaluations_total"), 0u);
     EXPECT_GT(snap.counterValue("model_infer_candidates_total"), 0u);
+}
+
+TEST(ObsTune, PrunerWithoutLseEmitsEvolutionCounters)
+{
+    // The "w/o LSE" ablation drafts with the evolutionary search: its
+    // draft is counted on the evo_* counters, and counting never changes
+    // the result.
+    const auto dev = DeviceSpec::a100();
+    const Workload w = smallWorkload();
+    PrunerConfig config = smallPrunerConfig();
+    config.use_lse = false;
+    PrunerPolicy off_policy(dev, config);
+    const TuneResult off = off_policy.tune(w, obsTuneOptions(1));
+
+    obs::MetricsRegistry metrics;
+    TuneOptions opts = obsTuneOptions(1);
+    opts.metrics = &metrics;
+    PrunerPolicy on_policy(dev, config);
+    const TuneResult on = on_policy.tune(w, opts);
+    expectSameResult(off, on);
+
+    const auto snap = metrics.snapshot();
+    // 4 rounds x 2 tasks per round, one draft each.
+    EXPECT_EQ(snap.counterValue("evo_runs_total"), 8u);
+    EXPECT_GT(snap.counterValue("evo_evaluations_total"), 0u);
+    EXPECT_GT(snap.counterValue("evo_candidates_total"), 0u);
+    EXPECT_EQ(snap.counterValue("lse_drafts_total"), 0u);
 }
 
 TEST(ObsTune, ReplayRegeneratesDeterministicTrace)

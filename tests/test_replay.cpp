@@ -326,6 +326,42 @@ TEST(Replay, CustomWorkloadNeedsEnvOverride)
     expectBitIdentical(recorded_result, replayed.result);
 }
 
+/** The golden log with @p from replaced by @p to on its policycfg line,
+ *  replayed; returns the FatalError message ("" when none is thrown). */
+std::string
+replayEditedGoldenError(const std::string& from, const std::string& to)
+{
+    std::ifstream in(std::string(PRUNER_TEST_DATA_DIR) +
+                     "/golden_session.log");
+    std::string text{std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>()};
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at == std::string::npos) {
+        return "";
+    }
+    text.replace(at, from.size(), to);
+    try {
+        SessionReplayer().replay(SessionLog::parse(text));
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Replay, SessionsOfOtherDraftExplorersAreRefused)
+{
+    // Only the evolutionary draft exists: a log recorded under another
+    // explorer, or with an explorer config, cannot re-execute and must
+    // fail up front instead of diverging later.
+    const std::string explorer = replayEditedGoldenError(
+        "\texplorer=evolution\t", "\texplorer=portfolio\t");
+    EXPECT_NE(explorer.find("'explorer'"), std::string::npos) << explorer;
+    const std::string config = replayEditedGoldenError(
+        "\texplorercfg=-", "\texplorercfg=arms=evolution+gbt");
+    EXPECT_NE(config.find("'explorercfg'"), std::string::npos) << config;
+}
+
 TEST(Replay, ArtifactDbSessionsAreRefused)
 {
     // Warm-start state lives outside the log, so such sessions cannot be
